@@ -27,17 +27,14 @@
  * asserting identical classification and reporting best-of-rounds
  * throughput for both sides plus the on/off speedup ratio.
  *
- * FH_BENCH_BASELINE=<binary|mode> turns on interleaved same-window A/B
+ * FH_BENCH_BASELINE=<binary> turns on interleaved same-window A/B
  * measurement — the honest way to compare revisions on a noisy shared
  * container, where back-to-back runs see different neighbors. Each of
  * FH_BENCH_ROUNDS (default 5) rounds runs the current binary and the
  * baseline alternately under identical settings (single worker
  * thread), and the summary reports best-of-rounds for both sides plus
- * the ratio. The baseline is either a path to an older
- * bench_campaign_throughput binary (run as a subprocess, throughput
- * parsed from its FH_JSON), or the literal mode name "scan" for an
- * in-process FH_SCAN_ISSUE-oracle comparison of the two issue-stage
- * implementations inside this binary.
+ * the ratio. The baseline is a path to an older bench_campaign_throughput
+ * binary, run as a subprocess with its throughput parsed from its FH_JSON.
  */
 
 #include <algorithm>
@@ -92,10 +89,9 @@ printSched(std::FILE *out, const fault::SchedCounters &s)
     auto u = [](u64 v) { return static_cast<unsigned long long>(v); };
     std::fprintf(out,
                  "  scheduler: %llu wakeup hits, %llu overflow parks, "
-                 "%llu overflow rescans, %llu fast-forwarded cycles, "
-                 "issue occupancy %.2f\n",
+                 "%llu overflow rescans, issue occupancy %.2f\n",
                  u(s.wakeupHits), u(s.overflowParks),
-                 u(s.overflowRescans), u(s.fastForwarded), occ);
+                 u(s.overflowRescans), occ);
 }
 
 void
@@ -106,11 +102,11 @@ writeJsonSched(std::FILE *out, const fault::SchedCounters &s,
     std::fprintf(out,
                  "%s\"scheduler\": { \"wakeup_hits\": %llu, "
                  "\"overflow_parks\": %llu, \"overflow_rescans\": %llu, "
-                 "\"fast_forwarded_cycles\": %llu, \"issue_evals\": "
-                 "%llu, \"issue_candidates\": %llu },\n",
+                 "\"issue_evals\": %llu, \"issue_candidates\": %llu "
+                 "},\n",
                  indent, u(s.wakeupHits), u(s.overflowParks),
-                 u(s.overflowRescans), u(s.fastForwarded),
-                 u(s.issueEvals), u(s.issueCandidates));
+                 u(s.overflowRescans), u(s.issueEvals),
+                 u(s.issueCandidates));
 }
 
 /// One timed single-configuration campaign; returns trials/second.
@@ -314,55 +310,28 @@ main()
     if (!baselineSpec.empty()) {
         const unsigned rounds = static_cast<unsigned>(
             bench::envU64("FH_BENCH_ROUNDS", 5));
-        const bool modeBaseline = baselineSpec == "scan";
         fault::CampaignConfig abCfg = cfg;
         abCfg.threads = 1;
-        pipeline::CoreParams scanParams = params;
-        scanParams.scanIssue = true;
         std::fprintf(stderr,
                      "interleaved A/B: current vs %s, %u round(s), 1 "
                      "worker thread\n",
-                     modeBaseline ? "in-process scan oracle"
-                                  : baselineSpec.c_str(),
-                     rounds);
+                     baselineSpec.c_str(), rounds);
         for (unsigned round = 0; round < rounds; ++round) {
-            fault::CampaignResult cur;
-            abCur.push_back(
-                runCampaignOnce(params, &prog, abCfg, &cur));
-            double base = 0.0;
-            if (modeBaseline) {
-                fault::CampaignResult alt;
-                base = runCampaignOnce(scanParams, &prog, abCfg, &alt);
-                // Free equivalence check: the scan oracle must
-                // classify every trial identically.
-                if (cur.injected != alt.injected ||
-                    cur.masked != alt.masked || cur.noisy != alt.noisy ||
-                    cur.sdc != alt.sdc ||
-                    cur.recovered != alt.recovered ||
-                    cur.detected != alt.detected ||
-                    cur.uncovered != alt.uncovered ||
-                    cur.trialErrors != alt.trialErrors) {
-                    std::fprintf(stderr,
-                                 "FATAL: scan-oracle classification "
-                                 "diverges from wakeup scheduler\n");
-                    return 1;
-                }
-            } else {
-                base = runBaselineBinary(baselineSpec);
-                if (base <= 0.0) {
-                    std::fprintf(stderr,
-                                 "FATAL: baseline %s produced no "
-                                 "throughput figure\n",
-                                 baselineSpec.c_str());
-                    return 1;
-                }
+            abCur.push_back(runCampaignOnce(params, &prog, abCfg, nullptr));
+            const double base = runBaselineBinary(baselineSpec);
+            if (base <= 0.0) {
+                std::fprintf(stderr,
+                             "FATAL: baseline %s produced no "
+                             "throughput figure\n",
+                             baselineSpec.c_str());
+                return 1;
             }
             abBase.push_back(base);
             std::fprintf(stderr,
                          "  round %u/%u: current %.1f vs baseline "
                          "%.1f trials/s (%.3fx)\n",
                          round + 1, rounds, abCur.back(), base,
-                         base > 0 ? abCur.back() / base : 0.0);
+                         abCur.back() / base);
         }
         const double bestCur =
             *std::max_element(abCur.begin(), abCur.end());

@@ -321,18 +321,16 @@ emitCampaignOutputs(const Config &cfg, const std::string &bench,
                  pct(p.protectedNs), pct(p.compareNs));
     // Scheduler observability (stderr for the same reason): how the
     // event-driven issue stage spent the campaign's window execution.
-    // Zeros under FH_SCAN_ISSUE=1 (except the issue-stage occupancy
-    // pair) and in distributed runs (the wire carries classification
+    // Zeros in distributed runs (the wire carries classification
     // counters only).
     const fault::SchedCounters &s = r.sched;
     auto ull = [](u64 v) { return static_cast<unsigned long long>(v); };
     std::fprintf(stderr,
                  "fhsim: scheduler — wakeup hits %llu, overflow "
-                 "parks %llu, overflow rescans %llu, fast-forwarded "
-                 "cycles %llu, issue occupancy %.2f (%llu candidates "
-                 "/ %llu evals)\n",
+                 "parks %llu, overflow rescans %llu, issue occupancy "
+                 "%.2f (%llu candidates / %llu evals)\n",
                  ull(s.wakeupHits), ull(s.overflowParks),
-                 ull(s.overflowRescans), ull(s.fastForwarded),
+                 ull(s.overflowRescans),
                  s.issueEvals ? static_cast<double>(s.issueCandidates) /
                                     static_cast<double>(s.issueEvals)
                               : 0.0,

@@ -555,7 +555,11 @@ Coordinator::run(fault::TrialJournal *journal)
         }
     }
 
-    // Completion (or drained shutdown): release every worker.
+    // Completion (or drained shutdown): release every worker, and stop
+    // listening. A worker whose Shutdown frame was lost sees EOF and
+    // re-dials; with the listener open its connection would park in
+    // the accept backlog, never answered, for as long as this object
+    // lives. Closed, the dial is refused and the worker gives up.
     for (auto &c : conns_) {
         if (c.fd >= 0) {
             sendFrame(c.fd, MsgType::Shutdown, {});
@@ -563,6 +567,8 @@ Coordinator::run(fault::TrialJournal *journal)
             c.fd = -1;
         }
     }
+    closeFabricFd(listenFd_);
+    listenFd_ = -1;
 
     // Merged counters past a halt cannot exist; past a shutdown they
     // were never merged (the stash beyond the contiguous prefix is

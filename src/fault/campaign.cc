@@ -557,11 +557,7 @@ struct CampaignSession::Impl
     }
 
     /** Advance the master over one inter-injection gap; true if it ran
-     *  to completion (false = the workload halted inside it). Uses
-     *  Core::advance so wakeup-mode masters fast-forward through idle
-     *  stretches — the post-gap machine state is bit-identical to gap
-     *  individual ticks (the ledger observer only fires on commits,
-     *  which never happen in a skipped cycle). */
+     *  to completion (false = the workload halted inside it). */
     bool advanceGap()
     {
         const Cycle gap = gapRng.range(cfg.minGap, cfg.maxGap);

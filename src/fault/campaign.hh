@@ -144,10 +144,10 @@ struct CampaignConfig
 
     /**
      * FH_EARLY_STOP environment default for earlyStop (unset or any
-     * value but "0" = on). An env read, like FH_SCAN_ISSUE, so the
-     * pinned-count and ledger-equivalence suites can be rerun with
-     * early termination forced off as an equivalence oracle without
-     * touching their configs.
+     * value but "0" = on). An env read, so the pinned-count and
+     * ledger-equivalence suites can be rerun with early termination
+     * forced off as an equivalence oracle without touching their
+     * configs.
      */
     static bool envEarlyStop();
 
@@ -218,16 +218,13 @@ struct CampaignPhases
  * ran (master advance + all forks): how the issue stage did its work,
  * not what the workload did. Purely observational — excluded from the
  * journal's trial packing and the distributed wire format (like
- * phases), so journal bytes and classification stay identical across
- * scheduler modes; in FH_SCAN_ISSUE=1 oracle mode everything except
- * issueEvals/issueCandidates reads zero.
+ * phases), so journal bytes and classification never depend on them.
  */
 struct SchedCounters
 {
     u64 wakeupHits = 0;      ///< consumers moved wake row -> ready pool
     u64 overflowParks = 0;   ///< subscriptions parked on overflow lists
     u64 overflowRescans = 0; ///< overflow refs examined by the slow path
-    u64 fastForwarded = 0;   ///< idle cycles skipped by fast-forward
     u64 issueEvals = 0;      ///< cycles the issue stage examined refs
     u64 issueCandidates = 0; ///< ready candidates across those cycles
 
@@ -236,7 +233,6 @@ struct SchedCounters
         wakeupHits += o.wakeupHits;
         overflowParks += o.overflowParks;
         overflowRescans += o.overflowRescans;
-        fastForwarded += o.fastForwarded;
         issueEvals += o.issueEvals;
         issueCandidates += o.issueCandidates;
         return *this;
@@ -250,7 +246,6 @@ struct SchedCounters
         d.wakeupHits = now.wakeupHits - base.wakeupHits;
         d.overflowParks = now.overflowParks - base.overflowParks;
         d.overflowRescans = now.overflowRescans - base.overflowRescans;
-        d.fastForwarded = now.fastForwarded - base.fastForwarded;
         d.issueEvals = now.issueEvals - base.issueEvals;
         d.issueCandidates = now.issueCandidates - base.issueCandidates;
         return d;

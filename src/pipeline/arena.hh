@@ -2,11 +2,11 @@
  * @file
  * Flat per-core state arena. All per-cycle-touched pipeline state
  * (ROB hot/cold arrays, register file, fetch/LSQ/delay rings, the
- * issue and issued scan lists) lives in one contiguous byte buffer,
- * so forking a core copies a single block instead of walking an
- * object graph of vectors and deques — and a trial-slot restore
- * (copy-assignment between equal layouts) is a pure memcpy with no
- * allocator traffic.
+ * wake rows, ready pools and issued lists) lives in one contiguous
+ * byte buffer, so forking a core copies a single block instead of
+ * walking an object graph of vectors and deques — and a trial-slot
+ * restore (copy-assignment between equal layouts) is a pure memcpy
+ * with no allocator traffic.
  *
  * Views into the arena (Rob, PhysRegFile, RingView, RefList) hold raw
  * pointers plus their own control scalars. Copying a Core copies the
@@ -165,10 +165,10 @@ class RingView
 
 /**
  * Fixed-capacity append/compact list over arena storage, for the
- * issue/complete scan lists. The per-cycle scans rewrite the list in
- * place (dropping stale refs); appends that find the list full first
- * compact it with the same staleness predicate the scans use, so
- * overflow handling is behavior-invisible.
+ * issue-stage and complete-stage ref lists. The per-cycle scans
+ * rewrite the list in place (dropping stale refs); appends that find
+ * the list full first compact it with the same staleness predicate
+ * the scans use, so overflow handling is behavior-invisible.
  */
 template <typename T>
 class RefList

@@ -1,7 +1,6 @@
 #include "pipeline/core.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "isa/exec.hh"
 #include "sim/logging.hh"
@@ -25,20 +24,7 @@ namespace
  */
 constexpr u32 kWakeRowCap = 6;
 
-/** "No scheduled event" sentinel for the idle fast-forward. */
-constexpr Cycle kNoEvent = ~Cycle{0};
-
 } // namespace
-
-bool
-CoreParams::envScanIssue()
-{
-    static const bool scan = [] {
-        const char *v = std::getenv("FH_SCAN_ISSUE");
-        return v && v[0] == '1' && v[1] == '\0';
-    }();
-    return scan;
-}
 
 void
 ValueProbe::sample(StreamKind kind, u64 pc, u64 value)
@@ -95,7 +81,7 @@ Core::Core(const CoreParams &params, const isa::Program *prog)
     // grouped at the front, cold per-entry payloads at the back.
     struct PerTid
     {
-        size_t hot, iq, issued, delay, store, pool, ovfl, cold, fetch;
+        size_t hot, issued, delay, store, pool, ovfl, cold, fetch;
     };
     std::vector<PerTid> off(nt);
     for (unsigned tid = 0; tid < nt; ++tid)
@@ -103,7 +89,6 @@ Core::Core(const CoreParams &params, const isa::Program *prog)
     const size_t ready_off = arena_.reserve<u8>(params_.physRegs);
     const size_t free_off = arena_.reserve<u8>(params_.physRegs);
     for (unsigned tid = 0; tid < nt; ++tid) {
-        off[tid].iq = arena_.reserve<SeqRef>(ref_cap);
         off[tid].issued = arena_.reserve<FinishRef>(ref_cap);
         off[tid].delay = arena_.reserve<u32>(delay_cap);
         off[tid].store = arena_.reserve<u32>(store_cap);
@@ -133,7 +118,6 @@ Core::Core(const CoreParams &params, const isa::Program *prog)
     renames_.resize(nt);
     threads_.resize(nt);
     lsqCounts_.assign(nt, 0);
-    iqLists_.resize(nt);
     issuedLists_.resize(nt);
     readyPools_.resize(nt);
     overflowLists_.resize(nt);
@@ -146,7 +130,6 @@ Core::Core(const CoreParams &params, const isa::Program *prog)
                        fetch_cap);
         ts.delayBuffer.bind(arena_.at<u32>(off[tid].delay), delay_cap);
         ts.storeList.bind(arena_.at<u32>(off[tid].store), store_cap);
-        iqLists_[tid].bind(arena_.at<SeqRef>(off[tid].iq), ref_cap);
         issuedLists_[tid].bind(arena_.at<FinishRef>(off[tid].issued),
                                ref_cap);
         readyPools_[tid].bind(arena_.at<SeqRef>(off[tid].pool), ref_cap);
@@ -206,7 +189,6 @@ Core::Core(const Core &other)
       iqCount_(other.iqCount_),
       lsqCounts_(other.lsqCounts_),
       scanScratch_(other.scanScratch_),
-      iqLists_(other.iqLists_),
       issuedLists_(other.issuedLists_),
       wakeRows_(other.wakeRows_),
       readyPools_(other.readyPools_),
@@ -245,7 +227,6 @@ Core::operator=(const Core &other)
     iqCount_ = other.iqCount_;
     lsqCounts_ = other.lsqCounts_;
     scanScratch_ = other.scanScratch_; // always empty between ticks
-    iqLists_ = other.iqLists_;
     issuedLists_ = other.issuedLists_;
     wakeRows_ = other.wakeRows_;
     readyPools_ = other.readyPools_;
@@ -271,8 +252,6 @@ Core::rebindViews(const Core &other)
         ts.storeList.shiftBase(delta);
     }
     scanScratch_.shiftBase(delta);
-    for (RefList<SeqRef> &list : iqLists_)
-        list.shiftBase(delta);
     for (RefList<FinishRef> &list : issuedLists_)
         list.shiftBase(delta);
     for (RefList<SeqRef> &row : wakeRows_)
@@ -369,23 +348,11 @@ Core::tick()
 }
 
 void
-Core::run(Cycle max_cycles)
-{
-    advance(max_cycles);
-}
-
-void
 Core::advance(Cycle cycles)
 {
     const Cycle end = cycle_ + cycles;
-    while (cycle_ < end && !allHalted()) {
-        if (!params_.scanIssue) {
-            fastForward(end);
-            if (cycle_ >= end)
-                break;
-        }
+    while (cycle_ < end && !allHalted())
         tick();
-    }
 }
 
 bool
@@ -423,15 +390,6 @@ Core::runUntilCommitted(const std::vector<u64> &targets, Cycle max_cycles)
             return done(); // frozen short of a target: hung, bail now
         if (cycle_ >= end)
             return done();
-        if (!params_.scanIssue) {
-            // Dead cycles can't flip done()/all_frozen() (no commits
-            // happen in them), so skipping is decision-equivalent; a
-            // no-event machine lands on the same hung cycle_ = end the
-            // per-cycle loop would reach.
-            fastForward(end);
-            if (cycle_ >= end)
-                return done();
-        }
         tick();
     }
 }
@@ -607,9 +565,8 @@ Core::tryCommitHead(unsigned tid)
             regfile_.release(e.oldPreg);
             // release() flips the ready bit back on: a consumer whose
             // injected (dangling) source tag aliases the freed preg
-            // becomes issuable now, exactly as the scan would see it.
-            if (!params_.scanIssue)
-                wakePreg(e.oldPreg);
+            // becomes issuable now.
+            wakePreg(e.oldPreg);
         }
     }
 
@@ -755,8 +712,7 @@ Core::completeEntry(unsigned tid, unsigned slot)
     if (e.destPreg != invalidPreg) {
         regfile_.write(e.destPreg, e.result);
         ++stats_.regWrites;
-        if (!params_.scanIssue)
-            wakePreg(e.destPreg);
+        wakePreg(e.destPreg);
     }
 
     if (isa::isBranch(e.inst.op))
@@ -1002,146 +958,96 @@ Core::issueStage()
         return; // singleton re-execute owns the issue slots
 
     scanScratch_.clear();
-    if (params_.scanIssue)
-        collectCandidatesScan();
-    else
-        collectCandidatesWakeup();
+    collectCandidates();
     sortBySeq(scanScratch_);
     stats_.issueCandidates += scanScratch_.size();
     issueCandidates();
     scanScratch_.clear();
 }
 
-void
-Core::collectCandidatesScan()
+unsigned
+Core::waitingSource(const RobHot &h) const
 {
-    RefList<SeqRef> &ready = scanScratch_;
-    ++stats_.issueEvals;
-    for (unsigned tid = 0; tid < numThreads(); ++tid) {
-        Rob &rob = robs_[tid];
-        // Scan only the slots known to wait in the issue queue; stale
-        // refs (squashed, issued, reused) fall out of the list here.
-        // List order does not matter — the sort below puts candidates
-        // in seq order, exactly as the full ROB walk produced them.
-        // Rejections read only the hot headers and ready bytes; the
-        // cold payload is touched for ready loads alone.
-        RefList<SeqRef> &iq = iqLists_[tid];
-        u32 keep = 0;
-        for (u32 i = 0; i < iq.size(); ++i) {
-            const SeqRef ref = iq[i];
-            const RobHot &h = rob.hot(ref.slot);
-            if (!h.valid || h.seq != ref.seq ||
-                h.state != EntryState::Dispatched) {
-                continue;
-            }
-            if (keep != i)
-                iq[keep] = ref;
-            ++keep;
-            if (h.src1Preg != invalidPreg && !regfile_.ready(h.src1Preg))
-                continue;
-            // Stores wait only for the address operand; the data is
-            // captured later (split store-address/store-data).
-            if (!h.isStore && h.src2Preg != invalidPreg &&
-                !regfile_.ready(h.src2Preg)) {
-                continue;
-            }
-            if (h.isLoad) {
-                const RobCold &e = rob.cold(ref.slot);
-                const u64 base_val = h.src1Preg != invalidPreg
-                                         ? regfile_.read(h.src1Preg)
-                                         : 0;
-                const Addr addr = isa::effectiveAddr(e.inst, base_val);
-                if (loadBlocked(tid, h.seq, addr))
-                    continue;
-            }
-            ready.push_back(ref);
-        }
-        iq.resize(keep);
+    if (h.src1Preg != invalidPreg && !regfile_.ready(h.src1Preg))
+        return h.src1Preg;
+    // Stores wait only for the address operand; the data is captured
+    // later (split store-address/store-data).
+    if (!h.isStore && h.src2Preg != invalidPreg &&
+        !regfile_.ready(h.src2Preg)) {
+        return h.src2Preg;
     }
+    return invalidPreg;
+}
+
+bool
+Core::loadOrderBlocked(unsigned tid, unsigned slot, const RobHot &h) const
+{
+    if (!h.isLoad)
+        return false;
+    const RobCold &e = robs_[tid].cold(slot);
+    const u64 base_val =
+        h.src1Preg != invalidPreg ? regfile_.read(h.src1Preg) : 0;
+    return loadBlocked(tid, h.seq, isa::effectiveAddr(e.inst, base_val));
 }
 
 void
-Core::collectCandidatesWakeup()
+Core::collectCandidates()
 {
     RefList<SeqRef> &ready = scanScratch_;
     bool examined = false;
     for (unsigned tid = 0; tid < numThreads(); ++tid) {
-        Rob &rob = robs_[tid];
+        const Rob &rob = robs_[tid];
+        auto stale = [&](const SeqRef &ref) {
+            const RobHot &h = rob.hot(ref.slot);
+            return !h.valid || h.seq != ref.seq ||
+                   h.state != EntryState::Dispatched;
+        };
 
         // Slow path first: the overflow list holds waiters whose wake
         // row was full (including dangling rename-fault tags that may
-        // never see a wake). They get the full scan predicate every
-        // cycle, exactly like a scan-mode IQ ref; not-ready refs stay
-        // parked here rather than bouncing back onto saturated rows.
+        // never see a wake). They get the full readiness predicate
+        // every cycle; not-ready refs stay parked here rather than
+        // bouncing back onto saturated rows.
         RefList<SeqRef> &ovfl = overflowLists_[tid];
         u32 keep = 0;
         for (u32 i = 0; i < ovfl.size(); ++i) {
             const SeqRef ref = ovfl[i];
             ++stats_.overflowRescans;
             examined = true;
-            const RobHot &h = rob.hot(ref.slot);
-            if (!h.valid || h.seq != ref.seq ||
-                h.state != EntryState::Dispatched) {
-                continue; // stale: squashed, issued, or slot reused
-            }
+            if (stale(ref))
+                continue; // squashed, issued, or slot reused
             ovfl[keep++] = ref;
-            if (h.src1Preg != invalidPreg && !regfile_.ready(h.src1Preg))
-                continue;
-            if (!h.isStore && h.src2Preg != invalidPreg &&
-                !regfile_.ready(h.src2Preg)) {
-                continue;
+            const RobHot &h = rob.hot(ref.slot);
+            if (waitingSource(h) == invalidPreg &&
+                !loadOrderBlocked(tid, ref.slot, h)) {
+                ready.push_back(ref);
             }
-            if (h.isLoad) {
-                const RobCold &e = rob.cold(ref.slot);
-                const u64 base_val = h.src1Preg != invalidPreg
-                                         ? regfile_.read(h.src1Preg)
-                                         : 0;
-                const Addr addr = isa::effectiveAddr(e.inst, base_val);
-                if (loadBlocked(tid, h.seq, addr))
-                    continue;
-            }
-            ready.push_back(ref);
         }
         ovfl.resize(keep);
 
-        // Ready pool: every ref re-proves the full scan predicate
+        // Ready pool: every ref re-proves the full readiness predicate
         // before becoming a candidate. Readiness is non-monotonic
         // (triggerReplay re-marks producers not-ready), so a pooled
         // entry whose source went cold re-subscribes to a wake row and
         // leaves the pool; a load blocked on memory ordering stays
         // pooled (its store dependence has no wake edge) but yields no
-        // candidate — identical to the scan's rejection.
+        // candidate.
         RefList<SeqRef> &pool = readyPools_[tid];
         keep = 0;
         for (u32 i = 0; i < pool.size(); ++i) {
             const SeqRef ref = pool[i];
             examined = true;
-            const RobHot &h = rob.hot(ref.slot);
-            if (!h.valid || h.seq != ref.seq ||
-                h.state != EntryState::Dispatched) {
-                continue; // stale ref, drop
-            }
-            if (h.src1Preg != invalidPreg &&
-                !regfile_.ready(h.src1Preg)) {
-                subscribeWaiter(h.src1Preg, ref);
+            if (stale(ref))
                 continue;
-            }
-            if (!h.isStore && h.src2Preg != invalidPreg &&
-                !regfile_.ready(h.src2Preg)) {
-                subscribeWaiter(h.src2Preg, ref);
+            const RobHot &h = rob.hot(ref.slot);
+            const unsigned cold = waitingSource(h);
+            if (cold != invalidPreg) {
+                subscribeWaiter(cold, ref);
                 continue;
             }
             pool[keep++] = ref;
-            if (h.isLoad) {
-                const RobCold &e = rob.cold(ref.slot);
-                const u64 base_val = h.src1Preg != invalidPreg
-                                         ? regfile_.read(h.src1Preg)
-                                         : 0;
-                const Addr addr = isa::effectiveAddr(e.inst, base_val);
-                if (loadBlocked(tid, h.seq, addr))
-                    continue;
-            }
-            ready.push_back(ref);
+            if (!loadOrderBlocked(tid, ref.slot, h))
+                ready.push_back(ref);
         }
         pool.resize(keep);
     }
@@ -1161,10 +1067,10 @@ Core::issueCandidates()
             break;
         Rob &rob = robs_[c.tid];
         RobHot &h = rob.hot(c.slot);
-        // Re-validate: the IQ list may briefly hold two refs to the
-        // same entry (a replay re-append while issue was blocked), and
-        // the first of the pair has issued it by the time the second
-        // comes around.
+        // Re-validate: the pool/overflow may briefly hold two refs to
+        // one entry (a replay re-dispatch while a stale ref still
+        // matches the reused seq/slot), and the first of the pair has
+        // issued it by the time the second comes around.
         if (!h.valid || h.seq != c.seq ||
             h.state != EntryState::Dispatched) {
             continue;
@@ -1197,30 +1103,17 @@ Core::issueCandidates()
     }
 }
 
-// The comment above issueStage's re-validation applies in wakeup mode
-// too: the pool/overflow may briefly hold two refs to one entry (a
-// replay re-dispatch while a stale ref still matches the reused
-// seq/slot), so the candidate *multiplicity* can differ between modes
-// — but duplicates past the first always fail the state check here,
-// so the issued sequence is identical.
-
 void
 Core::enqueueForIssue(unsigned tid, unsigned slot, const RobHot &h)
 {
     const SeqRef ref{h.seq, tid, slot};
-    // Subscribe to the first not-ready source, probed in the exact
-    // order the scan predicate checks them; the pool re-check catches
-    // a second source that goes cold later.
-    if (h.src1Preg != invalidPreg && !regfile_.ready(h.src1Preg)) {
-        subscribeWaiter(h.src1Preg, ref);
-        return;
-    }
-    if (!h.isStore && h.src2Preg != invalidPreg &&
-        !regfile_.ready(h.src2Preg)) {
-        subscribeWaiter(h.src2Preg, ref);
-        return;
-    }
-    pushRef(readyPools_[tid], EntryState::Dispatched, ref);
+    // Subscribe to the first not-ready source; the pool re-check
+    // catches a second source that goes cold later.
+    const unsigned cold = waitingSource(h);
+    if (cold != invalidPreg)
+        subscribeWaiter(cold, ref);
+    else
+        pushRef(readyPools_[tid], EntryState::Dispatched, ref);
 }
 
 void
@@ -1267,78 +1160,6 @@ Core::drainAllWakeRows()
     for (unsigned preg = 0; preg < params_.physRegs; ++preg)
         if (!wakeRows_[preg].empty())
             wakePreg(preg);
-}
-
-// ------------------------------------------------------- fast-forward
-
-Cycle
-Core::nextEventCycle() const
-{
-    const Cycle soon = cycle_ + 1;
-    // A populated pool or overflow list must be re-examined every
-    // cycle (memory-ordering blocks and non-monotonic readiness have
-    // no wake edge), so those cycles are never dead.
-    for (unsigned tid = 0; tid < numThreads(); ++tid) {
-        if (!readyPools_[tid].empty() || !overflowLists_[tid].empty())
-            return soon;
-    }
-    Cycle next = kNoEvent;
-    const auto consider = [&](Cycle c) {
-        next = std::min(next, std::max(c, soon));
-    };
-    for (unsigned tid = 0; tid < numThreads(); ++tid) {
-        const ThreadState &ts = threads_[tid];
-        if (ts.halted)
-            continue;
-        const bool frozen = ts.opts.stopAfterInsts != 0 &&
-                            ts.committed >= ts.opts.stopAfterInsts;
-        const Rob &rob = robs_[tid];
-        if (!frozen && !rob.empty()) {
-            const unsigned head = rob.headSlot();
-            if (rob.hot(head).state == EntryState::Completed)
-                consider(rob.cold(head).commitReadyAt);
-        }
-        // FinishRef keys never exceed the live finishCycle, so the
-        // earliest key bounds the next completion from below — a safe
-        // (possibly early) wake, never a missed one.
-        const RefList<FinishRef> &il = issuedLists_[tid];
-        for (u32 i = 0; i < il.size(); ++i)
-            consider(il[i].finish);
-        // Queued front-end work: dispatch acts when the fetch-queue
-        // head matures (back-pressure stalls then re-check per cycle,
-        // conservatively keeping those cycles live).
-        if (!(quiesceFrozen_ && frozen) && !ts.fetchQ.empty())
-            consider(ts.fetchQ.front().availAt);
-        // Fetch eligibility mirrors fetchStage's own gating.
-        if (!frozen && !ts.fetchBlocked &&
-            ts.fetchQ.size() < 4 * params_.fetchWidth &&
-            ts.fetchPc < prog_->text.size()) {
-            consider(ts.fetchStallUntil);
-        }
-        if (next <= soon)
-            return soon;
-    }
-    return next;
-}
-
-void
-Core::fastForward(Cycle limit)
-{
-    // Jump to one cycle before the next scheduled event: every skipped
-    // tick is provably a no-op in all five stages (nothing due to
-    // commit, complete, issue, dispatch, or fetch), so only the cycle
-    // counters move. kNoEvent machines skip straight to the limit,
-    // landing on the same final cycle_ the per-cycle loop reaches.
-    const Cycle next = nextEventCycle();
-    if (next <= cycle_ + 1)
-        return;
-    const Cycle target = std::min(next - 1, limit);
-    if (target <= cycle_)
-        return;
-    const Cycle skip = target - cycle_;
-    stats_.fastForwarded += skip;
-    stats_.cycles += skip;
-    cycle_ = target;
 }
 
 // -------------------------------------------------------------- dispatch
@@ -1406,12 +1227,7 @@ Core::dispatchStage()
 
             if (needs_iq) {
                 ++iqCount_;
-                if (params_.scanIssue) {
-                    pushRef(iqLists_[tid], EntryState::Dispatched,
-                            {h.seq, tid, slot});
-                } else {
-                    enqueueForIssue(tid, slot, h);
-                }
+                enqueueForIssue(tid, slot, h);
             } else {
                 h.state = EntryState::Completed;
                 e.completedOnce = true;
@@ -1549,12 +1365,7 @@ Core::triggerReplay(unsigned tid)
         e.inDelayBuffer = false;
         if (e.destPreg != invalidPreg)
             regfile_.markNotReady(e.destPreg);
-        if (params_.scanIssue) {
-            pushRef(iqLists_[tid], EntryState::Dispatched,
-                    {h.seq, tid, slot});
-        } else {
-            enqueueForIssue(tid, slot, h);
-        }
+        enqueueForIssue(tid, slot, h);
         if (h.isLoad || h.isStore) {
             e.addrValid = false;
             e.dataValid = false;
@@ -1572,8 +1383,7 @@ Core::undoRenameOf(RobCold &entry, unsigned tid)
         regfile_.release(entry.destPreg);
         // The freed preg reads as ready again; waiters holding it as a
         // (possibly dangling) source tag become issuable.
-        if (!params_.scanIssue)
-            wakePreg(entry.destPreg);
+        wakePreg(entry.destPreg);
     }
 }
 
@@ -1631,8 +1441,7 @@ Core::squashAllOf(unsigned tid)
         const RobCold &e = rob.cold(slot);
         if (e.destPreg != invalidPreg) {
             regfile_.release(e.destPreg);
-            if (!params_.scanIssue)
-                wakePreg(e.destPreg);
+            wakePreg(e.destPreg);
         }
         if (occupiesIq(h))
             --iqCount_;
@@ -1697,8 +1506,7 @@ Core::faultRollback(unsigned tid)
     // every wake row into the pools; the per-cycle pool re-check
     // re-subscribes anything still genuinely waiting. Rollbacks are
     // rare, so the mass drain costs nothing on the steady path.
-    if (!params_.scanIssue)
-        drainAllWakeRows();
+    drainAllWakeRows();
 
     // Values recomputed by the rollback are deemed final: the next
     // checks of this thread update the filters without re-triggering.

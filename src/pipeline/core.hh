@@ -65,15 +65,11 @@ struct CoreStats
     u64 regReads = 0;
     u64 regWrites = 0;
 
-    // Event-driven scheduler observability. These describe *how* the
-    // issue stage did its work, so they legitimately differ between
-    // wakeup and scan-oracle mode; everything above is issue-order
-    // driven and stays bit-identical across modes (the fuzz
-    // equivalence suite compares those fields explicitly).
+    // Event-driven scheduler observability: *how* the issue stage did
+    // its work (wake traffic, overflow spills, candidate counts).
     u64 wakeupHits = 0;      ///< consumers moved wake row -> ready pool
     u64 overflowParks = 0;   ///< subscriptions parked on the overflow list
     u64 overflowRescans = 0; ///< overflow refs examined by the slow path
-    u64 fastForwarded = 0;   ///< idle cycles skipped (included in cycles)
     u64 issueEvals = 0;      ///< cycles the issue stage examined refs
     u64 issueCandidates = 0; ///< ready candidates across those cycles
 
@@ -168,21 +164,8 @@ class Core
     /** Advance one cycle. */
     void tick();
 
-    /**
-     * Advance exactly `cycles` cycles (or until every thread halts),
-     * fast-forwarding through provably idle stretches in wakeup mode:
-     * when no stage can make progress before the next scheduled event
-     * (pending finish, fetch stall expiry, commit-delay expiry, queued
-     * front-end work), cycle_ jumps there instead of ticking through
-     * dead cycles. State after advance(n) is bit-identical to n
-     * tick() calls — dead cycles are exactly the ticks with no effect
-     * beyond the cycle counters. The campaign's inter-injection gaps
-     * run through this.
-     */
+    /** n calls to tick(), stopping early once every thread halts. */
     void advance(Cycle cycles);
-
-    /** Run until every thread halted or max_cycles elapse. */
-    void run(Cycle max_cycles);
 
     /**
      * Run until every active thread has committed at least the given
@@ -419,20 +402,20 @@ class Core
     void dispatchStage();
     void fetchStage();
 
-    // ---- Producer-indexed wakeup (default issue mode) ----
+    // ---- Producer-indexed wakeup (the issue stage) ----
     //
     // Invariant: every Dispatched entry is referenced by the ready
     // pool, the overflow list, or exactly one wake row keyed by a
     // source preg that was not ready when the entry subscribed. Wake
     // rows drain into the pool at every ready-bit 0->1 transition
     // (wakePreg below — completion writes, commit/squash releases,
-    // rollback free-list rebuilds), so the pool+overflow scan sees
-    // every entry the full-IQ scan would find ready, applies the
-    // identical readiness predicate, and sorts candidates by their
-    // unique seq — the candidate order is provably the scan order.
+    // rollback free-list rebuilds), so the pool+overflow pass sees
+    // every Dispatched entry that is ready, applies the full readiness
+    // predicate, and sorts candidates by their unique seq: oldest
+    // ready first, whatever order the wakes arrived in.
 
-    /** Route a newly Dispatched entry: pool if its scanned-in-order
-     *  sources are ready, else subscribe to the first not-ready one. */
+    /** Route a newly Dispatched entry: pool if its sources are ready,
+     *  else subscribe to the first not-ready one. */
     void enqueueForIssue(unsigned tid, unsigned slot, const RobHot &h);
     /** Park ref on wake row `preg` (overflow list when the row stays
      *  full after compacting stale refs). */
@@ -442,19 +425,17 @@ class Core
     /** Conservative mass wake after resetFreeList flips many ready
      *  bits at once (fault rollback): drain every non-empty row. */
     void drainAllWakeRows();
-    /** Collect this cycle's issue candidates into scanScratch_ (seq
-     *  order) — scan oracle and wakeup flavors. */
-    void collectCandidatesScan();
-    void collectCandidatesWakeup();
+    /** First not-ready source of h in issue order (stores wait on
+     *  the address operand only); invalidPreg when all are ready. */
+    unsigned waitingSource(const RobHot &h) const;
+    /** True if h is a load that memory ordering keeps from issuing. */
+    bool loadOrderBlocked(unsigned tid, unsigned slot,
+                          const RobHot &h) const;
+    /** Collect this cycle's issue candidates into scanScratch_ from
+     *  the ready pools and overflow lists. */
+    void collectCandidates();
     /** Issue scanScratch_ against the port/width limits. */
     void issueCandidates();
-
-    /** Earliest cycle > cycle_ at which any stage can make progress,
-     *  or kNoEvent when nothing is scheduled. */
-    Cycle nextEventCycle() const;
-    /** Jump cycle_ to min(nextEventCycle() - 1, limit); both cycle_
-     *  and stats_.cycles advance by the skip. */
-    void fastForward(Cycle limit);
 
     /** Try to commit the head of one thread; true if it retired. */
     bool tryCommitHead(unsigned tid);
@@ -532,32 +513,28 @@ class Core
     std::vector<unsigned> lsqCounts_; ///< per-context LSQ partitions
 
     /** Scratch for the per-cycle issue/complete batches, arena-backed
-     *  so the hot path performs zero steady-state heap traffic (on the
-     *  scan-oracle path too). Always empty outside a stage. */
+     *  so the hot path performs zero steady-state heap traffic. Always
+     *  empty outside a stage. */
     RefList<SeqRef> scanScratch_;
 
     /**
-     * Per-thread slot lists driving the issue and complete scans:
-     * entries possibly in the issue queue (Dispatched) and possibly
-     * executing (Issued). Conservative supersets — every transition
-     * into the state appends a ref, and the per-cycle scans drop refs
-     * whose entry no longer matches (squashed, rolled back, reused or
-     * moved on), so the scanned set is exactly the entries the full
-     * ROB walk used to find. Part of the machine snapshot: forks
-     * resume with the lists their master had.
+     * Per-thread slot lists driving the complete scan: entries
+     * possibly executing (Issued). A conservative superset — every
+     * issue appends a ref, and the per-cycle scan drops refs whose
+     * entry no longer matches (squashed, rolled back, reused or moved
+     * on), so the scanned set is exactly the entries the full ROB walk
+     * used to find. Part of the machine snapshot: forks resume with
+     * the lists their master had.
      */
-    std::vector<RefList<SeqRef>> iqLists_;
     std::vector<RefList<FinishRef>> issuedLists_;
 
     /**
-     * Wakeup-mode scheduler state (all arena-backed; scan-oracle mode
-     * allocates but never touches it, keeping the two layouts — and
-     * therefore cross-mode copy-assignment — identical):
+     * Issue-stage scheduler state (all arena-backed):
      *  - wakeRows_[preg]: consumers subscribed to producer preg
      *    (fixed-capacity rows, one per physical register);
      *  - readyPools_[tid]: entries whose subscribed source went ready
      *    (or that dispatched fully ready); re-validated every issue
-     *    cycle with the full scan predicate, so non-monotonic
+     *    cycle with the full readiness predicate, so non-monotonic
      *    readiness (replay markNotReady) re-subscribes them;
      *  - overflowLists_[tid]: waiters that found their row full — the
      *    "never wakes" parking lot (dangling rename-fault tags land

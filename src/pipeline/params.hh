@@ -62,20 +62,6 @@ struct CoreParams
 
     unsigned predictorEntries = 4096;
 
-    /**
-     * Issue-stage mode. False (default): producer-indexed wakeup — a
-     * per-preg wake matrix plus per-thread ready pools feed the issue
-     * stage, and idle cycles fast-forward to the next scheduled event.
-     * True: the legacy per-cycle readiness scan over the whole issue
-     * queue, kept compiled in as the equivalence oracle — candidate
-     * sets are produced in identical seq order either way, so every
-     * architectural outcome and classification is bit-identical
-     * (tests/test_fuzz_equivalence.cc pins it). Defaults from the
-     * FH_SCAN_ISSUE environment variable (=1 selects the scan).
-     */
-    bool scanIssue = envScanIssue();
-    static bool envScanIssue();
-
     mem::HierarchyParams memory{};
     filters::DetectorParams detector{};
 };

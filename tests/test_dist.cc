@@ -408,5 +408,45 @@ TEST(Dist, ShutdownDrainsPartialAndJournalResumes)
     std::remove(journal.c_str());
 }
 
+/**
+ * A worker that dials a coordinator whose run() has returned — one that
+ * lost the final Shutdown frame and re-dials — must be refused rather
+ * than parked, unanswered, in the accept backlog of a coordinator
+ * object that is still alive: callers reap their workers before the
+ * coordinator goes out of scope.
+ */
+TEST(Dist, DialAfterRunReturnsIsRefused)
+{
+    const dist::CampaignSpec spec = testSpec();
+    dist::CoordinatorOptions opts;
+    opts.workers = 1;
+    dist::Coordinator coord(spec, opts);
+    const pid_t first = spawnRealWorker(coord.endpoint());
+    coord.run(nullptr);
+    dist::reap(first);
+
+    const dist::Endpoint ep = coord.endpoint();
+    const pid_t late = dist::spawnFn([ep] {
+        dist::WorkerOptions w;
+        w.endpoint = ep;
+        w.maxReconnects = 2;
+        w.backoffBaseMs = 5;
+        w.backoffCapMs = 10;
+        return dist::runWorker(w);
+    });
+    int status = 0;
+    bool exited = false;
+    for (int i = 0; i < 300 && !exited; ++i) {
+        exited = dist::reapIfExited(late, status);
+        if (!exited)
+            ::usleep(10'000);
+    }
+    if (!exited) {
+        ::kill(late, SIGKILL);
+        dist::reap(late);
+    }
+    EXPECT_TRUE(exited) << "late worker hung on a finished coordinator";
+}
+
 } // namespace
 

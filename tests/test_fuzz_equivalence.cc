@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <iterator>
 #include <optional>
 
 #include "exec/thread_pool.hh"
@@ -153,7 +155,7 @@ TEST_P(FuzzEquivalence, TimingMatchesFunctional)
         break;
     }
     pipeline::Core core(params, &prog);
-    core.run(20'000'000);
+    core.advance(20'000'000);
     ASSERT_TRUE(core.allHalted()) << "seed " << c.seed;
     ASSERT_FALSE(core.anyTrap()) << "seed " << c.seed;
 
@@ -334,56 +336,179 @@ INSTANTIATE_TEST_SUITE_P(PoolWidths, ForkEquivalence,
 namespace
 {
 
-class ScanOracleEquivalence : public testing::TestWithParam<unsigned>
+/**
+ * Every observable a fork-based classification reads, for one fork.
+ * Arch state is pinned as isa::archStateDigest per thread and memory
+ * as memDigestOf() over the segment content digests.
+ */
+struct PinnedFork
+{
+    bool reachedTargets;
+    bool trapped;
+    Cycle cycle;
+    std::array<u64, 2> committed;
+    std::array<u64, 2> archDigest;
+    u64 memDigest;
+    u64 triggers;
+    bool faultDetected;
+};
+
+struct PinnedTrial
+{
+    PinnedFork bare;
+    PinnedFork prot;
+};
+
+/*
+ * The values below were recorded under the per-cycle issue-queue scan,
+ * the scheduler the producer-indexed wakeup replaced: the scan
+ * re-checked every waiting entry each cycle, so it could not miss a
+ * wakeup. The wakeup reproduced every value before the scan was
+ * deleted.
+ */
+
+/// Master cycle at which the 3000-commit warmup ended.
+constexpr Cycle kScanWarmupCycle = 1489;
+
+/// Fork outcomes of the PinnedWakeupOutcome trials, in trial order.
+const PinnedTrial kScanOutcomes[] = {
+    {{true, false, 1687u, {1707u, 1968u},
+      {0x88fa4ecb4ca924b7ull, 0xac1d14cd1586cbf3ull},
+      0x9413959cdd71e547ull, 4u, false},
+     {true, false, 1687u, {1707u, 1968u},
+      {0x88fa4ecb4ca924b7ull, 0xac1d14cd1586cbf3ull},
+      0x9413959cdd71e547ull, 4u, false}},
+    {{true, false, 1829u, {1964u, 2219u},
+      {0x905a92b38caa83b8ull, 0x80023a4e2b35321full},
+      0x9413959cdd71e547ull, 4u, false},
+     {true, false, 1829u, {1964u, 2219u},
+      {0x905a92b38caa83b8ull, 0x80023a4e2b35321full},
+      0x9413959cdd71e547ull, 4u, false}},
+    {{true, false, 1939u, {2154u, 2409u},
+      {0xdf8ecf291811e785ull, 0x5edc64a91aa299fdull},
+      0x9413959cdd71e547ull, 4u, false},
+     {true, false, 1939u, {2154u, 2409u},
+      {0xdf8ecf291811e785ull, 0x5edc64a91aa299fdull},
+      0x9413959cdd71e547ull, 4u, true}},
+    {{true, false, 2059u, {2355u, 2616u},
+      {0x0c68b44f047bf5a5ull, 0xba3f2d99bbe80b89ull},
+      0x9413959cdd71e547ull, 4u, false},
+     {true, false, 2059u, {2355u, 2616u},
+      {0x0c68b44f047bf5a5ull, 0xba3f2d99bbe80b89ull},
+      0x9413959cdd71e547ull, 4u, false}},
+    {{true, false, 2199u, {2607u, 2864u},
+      {0xd9124bd8a012cc7cull, 0xca69f1d1b154fa5bull},
+      0x9413959cdd71e547ull, 4u, false},
+     {true, false, 2199u, {2607u, 2864u},
+      {0xd9124bd8a012cc7cull, 0xca69f1d1b154fa5bull},
+      0x9413959cdd71e547ull, 4u, false}},
+    {{true, false, 2259u, {2712u, 2967u},
+      {0x227afc84673ec9f4ull, 0xf027e1dd130988efull},
+      0x9413959cdd71e547ull, 4u, false},
+     {true, false, 2259u, {2712u, 2967u},
+      {0x227afc84673ec9f4ull, 0xf027e1dd130988efull},
+      0x9413959cdd71e547ull, 4u, false}},
+    {{true, false, 2369u, {2899u, 3156u},
+      {0x96103979893a2f91ull, 0x85465cd4120fb5ceull},
+      0x9413959cdd71e547ull, 4u, false},
+     {true, false, 2369u, {2899u, 3156u},
+      {0x96103979893a2f91ull, 0x85465cd4120fb5ceull},
+      0x9413959cdd71e547ull, 4u, false}},
+    {{true, false, 2422u, {3002u, 3246u},
+      {0xe01455bad0d69d11ull, 0xb1b6943f5b5445d2ull},
+      0x9413959cdd71e547ull, 4u, false},
+     {true, false, 2422u, {3002u, 3246u},
+      {0xe01455bad0d69d11ull, 0xb1b6943f5b5445d2ull},
+      0x9413959cdd71e547ull, 4u, false}},
+    {{true, false, 2562u, {3244u, 3493u},
+      {0x00c2be8ae73098d1ull, 0x59b3bd92348543adull},
+      0x593426d829a1f617ull, 4u, false},
+     {true, false, 2562u, {3244u, 3493u},
+      {0x00c2be8ae73098d1ull, 0x59b3bd92348543adull},
+      0x9413959cdd71e547ull, 4u, true}},
+    {{true, false, 2662u, {3415u, 3668u},
+      {0x0dd0af660bb575acull, 0x1a065edd68d8d357ull},
+      0x9413959cdd71e547ull, 4u, false},
+     {true, false, 2662u, {3415u, 3668u},
+      {0x0dd0af660bb575acull, 0x1a065edd68d8d357ull},
+      0x9413959cdd71e547ull, 4u, false}},
+};
+
+u64
+memDigestOf(const pipeline::Core &c)
+{
+    u64 h = 0;
+    for (size_t i = 0; i < c.memory().segmentCount(); ++i)
+        h = h * 0x100000001b3ull ^ c.memory().segmentDigest(i);
+    return h;
+}
+
+void
+expectPinned(const fault::ForkOutcome &o, const PinnedFork &want,
+             u64 trial, const char *flavor)
+{
+    const pipeline::Core &c = o.core;
+    EXPECT_EQ(o.reachedTargets, want.reachedTargets)
+        << flavor << " trial " << trial;
+    EXPECT_EQ(o.trapped, want.trapped) << flavor << " trial " << trial;
+    EXPECT_EQ(c.cycle(), want.cycle) << flavor << " trial " << trial;
+    ASSERT_EQ(c.numThreads(), 2u);
+    for (unsigned tid = 0; tid < 2; ++tid) {
+        EXPECT_EQ(c.committed(tid), want.committed[tid])
+            << flavor << " trial " << trial << " tid " << tid;
+        EXPECT_EQ(isa::archStateDigest(c.archState(tid)),
+                  want.archDigest[tid])
+            << flavor << " trial " << trial << " tid " << tid;
+    }
+    EXPECT_EQ(memDigestOf(c), want.memDigest)
+        << flavor << " trial " << trial;
+    EXPECT_EQ(c.detector().stats().triggers, want.triggers)
+        << flavor << " trial " << trial;
+    EXPECT_EQ(c.faultDetected(), want.faultDetected)
+        << flavor << " trial " << trial;
+}
+
+class PinnedWakeupOutcome : public testing::TestWithParam<unsigned>
 {
 };
 
 } // namespace
 
 /**
- * Wakeup-vs-scan issue-stage oracle: two masters over the same random
- * program, one on the event-driven wakeup scheduler (the default) and
- * one on the retired per-cycle scan (params.scanIssue, the
- * FH_SCAN_ISSUE oracle), ticked in lockstep — then fault trials forked
- * from both at the same points must agree on every observable a
- * classifier reads. The mix is rename-heavy so plans routinely leave
- * dangling source tags (the wakeup overflow/park path), and the
- * protected forks run the FaultHound detector whose triggered replays
- * re-dispatch completed consumers (the non-monotonic markNotReady
- * re-subscription path). Both modes are forced explicitly so the suite
- * stays meaningful whichever mode the surrounding ctest run selected.
- * Parameterized over pool width to race per-worker forks at 1 and 4
- * threads.
+ * Issue-stage reference: fault trials forked from one master over a
+ * random program must reproduce the outcomes recorded under the
+ * per-cycle scan, bit for bit. The mix is rename-heavy so plans
+ * routinely leave dangling source tags (the wakeup overflow/park
+ * path), and the protected forks run the FaultHound detector whose
+ * triggered replays re-dispatch completed consumers (the
+ * non-monotonic markNotReady re-subscription path). A lost or late
+ * wakeup on a path these trials exercise shifts an issue cycle, which
+ * moves the pinned cycle counts. Parameterized over pool width to
+ * race per-worker forks at 1 and 4 threads.
  */
-TEST_P(ScanOracleEquivalence, WakeupMatchesScanIssue)
+TEST_P(PinnedWakeupOutcome, MatchesRecordedScanOutcomes)
 {
     const unsigned nthreads = GetParam();
     Program prog = randomProgram(23, 100'000);
 
-    pipeline::CoreParams wakeParams;
-    wakeParams.detector = filters::DetectorParams::faultHound();
-    wakeParams.scanIssue = false;
-    pipeline::CoreParams scanParams = wakeParams;
-    scanParams.scanIssue = true;
-
-    pipeline::Core wakeMaster(wakeParams, &prog);
-    pipeline::Core scanMaster(scanParams, &prog);
-    while (wakeMaster.committedTotal() < 3000 &&
-           !wakeMaster.allHalted()) {
-        wakeMaster.tick();
-        scanMaster.tick();
+    pipeline::CoreParams params;
+    params.detector = filters::DetectorParams::faultHound();
+    pipeline::Core master(params, &prog);
+    while (master.committedTotal() < 3000) {
+        // A lost wakeup can stall the master outright.
+        ASSERT_LT(master.cycle(), 10 * kScanWarmupCycle);
+        master.tick();
     }
-    ASSERT_FALSE(wakeMaster.allHalted());
-    ASSERT_EQ(wakeMaster.cycle(), scanMaster.cycle());
+    ASSERT_FALSE(master.allHalted());
+    EXPECT_EQ(master.cycle(), kScanWarmupCycle);
 
     struct Snap
     {
-        pipeline::Core wake;
-        pipeline::Core scan;
+        pipeline::Core core;
         fault::InjectionPlan plan;
         std::vector<u64> targets;
     };
-    constexpr u64 kTrials = 10;
+    constexpr u64 kTrials = std::size(kScanOutcomes);
     constexpr Cycle kMaxCycles = 200'000;
     constexpr u64 kWindow = 150;
     Rng rng(29);
@@ -391,47 +516,28 @@ TEST_P(ScanOracleEquivalence, WakeupMatchesScanIssue)
     mix.renameFrac = 0.6; // rename-heavy: dangling-tag parks
     std::vector<Snap> snaps;
     snaps.reserve(kTrials);
-    for (u64 t = 0; t < kTrials && !wakeMaster.allHalted(); ++t) {
+    for (u64 t = 0; t < kTrials; ++t) {
         const Cycle gap = rng.range(40, 160);
-        for (Cycle c = 0; c < gap && !wakeMaster.allHalted(); ++c) {
-            wakeMaster.tick();
-            scanMaster.tick();
-        }
-        if (wakeMaster.allHalted())
-            break;
-        snaps.push_back({wakeMaster, scanMaster,
-                         fault::drawPlan(wakeMaster, mix, rng),
-                         fault::windowTargets(wakeMaster, kWindow)});
+        for (Cycle c = 0; c < gap; ++c)
+            master.tick();
+        ASSERT_FALSE(master.allHalted());
+        snaps.push_back({master, fault::drawPlan(master, mix, rng),
+                         fault::windowTargets(master, kWindow)});
     }
-    ASSERT_GE(snaps.size(), 6u);
 
     exec::ThreadPool pool(nthreads);
     pool.parallelFor(snaps.size(), [&](u64 k) {
         const Snap &s = snaps[k];
-
-        // Bare forks: identical fault propagation without a detector.
-        fault::ForkOutcome wb = fault::runFork(s.wake, &s.plan, false,
-                                               s.targets, kMaxCycles);
-        fault::ForkOutcome sb = fault::runFork(s.scan, &s.plan, false,
-                                               s.targets, kMaxCycles);
-        expectSameOutcome(wb, sb, k, "bare");
-
-        // Protected forks: detector triggers and replay storms must
-        // land on the same cycles in both schedulers.
-        fault::ForkOutcome wp = fault::runFork(s.wake, &s.plan, true,
-                                               s.targets, kMaxCycles);
-        fault::ForkOutcome sp = fault::runFork(s.scan, &s.plan, true,
-                                               s.targets, kMaxCycles);
-        expectSameOutcome(wp, sp, k, "protected");
-        EXPECT_EQ(wp.core.detector().stats().triggers,
-                  sp.core.detector().stats().triggers)
-            << "trial " << k;
-        EXPECT_EQ(wp.core.faultDetected(), sp.core.faultDetected())
-            << "trial " << k;
+        expectPinned(fault::runFork(s.core, &s.plan, false, s.targets,
+                                    kMaxCycles),
+                     kScanOutcomes[k].bare, k, "bare");
+        expectPinned(fault::runFork(s.core, &s.plan, true, s.targets,
+                                    kMaxCycles),
+                     kScanOutcomes[k].prot, k, "protected");
     });
 }
 
-INSTANTIATE_TEST_SUITE_P(PoolWidths, ScanOracleEquivalence,
+INSTANTIATE_TEST_SUITE_P(PoolWidths, PinnedWakeupOutcome,
                          testing::Values(1u, 4u),
                          [](const testing::TestParamInfo<unsigned> &i) {
                              return "threads" + std::to_string(i.param);

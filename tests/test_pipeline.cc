@@ -292,8 +292,8 @@ TEST(Core, DisabledDetectorKeepsArchitectureIdentical)
     Core on(params, &prog);
     Core off(params, &prog);
     off.setDetectorEnabled(false);
-    on.run(10'000'000);
-    off.run(10'000'000);
+    on.advance(10'000'000);
+    off.advance(10'000'000);
     ASSERT_TRUE(on.allHalted());
     ASSERT_TRUE(off.allHalted());
     for (unsigned t = 0; t < 2; ++t)
