@@ -13,7 +13,7 @@
  *   FH_INJECTIONS=2000 FH_THREADS=1 bench_campaign_throughput
  *
  * Honors FH_BENCH (default 400.perl, matching the recorded baseline),
- * FH_INJECTIONS (default 2000), FH_WINDOW, FH_SEED, FH_GOLDEN_FORK.
+ * FH_INJECTIONS (default 2000), FH_WINDOW, FH_SEED, FH_EARLY_STOP.
  *
  * FH_DIST_WORKERS=N adds a multi-PROCESS row: the same campaign run
  * through the distributed fabric (in-process coordinator, N forked
@@ -210,11 +210,10 @@ main()
         cfg.threads = threads;
         std::fprintf(stderr,
                      "campaign throughput: %s, %llu injections, %u "
-                     "worker thread(s), %s golden...\n",
+                     "worker thread(s)...\n",
                      bench_name.c_str(),
                      static_cast<unsigned long long>(cfg.injections),
-                     threads,
-                     cfg.forceGoldenFork ? "forked" : "ledger");
+                     threads);
         const auto t0 = std::chrono::steady_clock::now();
         run.result = fault::runCampaign(params, &prog, cfg);
         run.seconds = std::chrono::duration<double>(
@@ -420,8 +419,6 @@ main()
     std::fprintf(out, "  \"seed\": %llu,\n", u(cfg.seed));
     std::fprintf(out, "  \"injections\": %llu,\n", u(cfg.injections));
     std::fprintf(out, "  \"window\": %llu,\n", u(cfg.window));
-    std::fprintf(out, "  \"golden_mode\": \"%s\",\n",
-                 cfg.forceGoldenFork ? "forked" : "ledger");
     std::fprintf(out, "  \"runs\": [\n");
     for (size_t i = 0; i < runs.size(); ++i) {
         const Run &run = runs[i];

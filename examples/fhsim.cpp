@@ -98,8 +98,6 @@ declareAllKeys(const Config &cfg)
     cfg.declareKey("jobs",
                    "campaign worker threads, or worker processes in "
                    "dispatch mode; 0 = all hardware threads");
-    cfg.declareKey("golden_fork",
-                   "force the legacy golden-fork loop (default false)");
     cfg.declareKey("journal",
                    "trial-journal path for checkpoint/resume");
     cfg.declareKey("trial_timeout_ms",
@@ -214,7 +212,6 @@ specFromConfig(const Config &cfg)
     spec.campaign.injections = cfg.getU64("injections", 300);
     spec.campaign.window = cfg.getU64("window", 1000);
     spec.campaign.seed = cfg.getU64("seed", 1);
-    spec.campaign.forceGoldenFork = cfg.getBool("golden_fork", false);
     spec.campaign.trialTimeoutMs = cfg.getU64("trial_timeout_ms", 0);
     spec.campaign.earlyStop =
         cfg.getBool("early_stop", spec.campaign.earlyStop);

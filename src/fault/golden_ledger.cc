@@ -15,11 +15,11 @@ GoldenLedger::supports(const pipeline::Core &master,
                        const isa::Program &prog)
 {
     const auto segs = master.memory().segments();
-    const unsigned n = master.numThreads();
-    if (segs.size() != n || prog.threadBases.size() < n)
+    if (segs.size() < master.numThreads() ||
+        prog.threadBases.size() < segs.size())
         return false;
-    for (unsigned tid = 0; tid < n; ++tid) {
-        if (segs[tid].base != prog.baseOf(tid))
+    for (unsigned s = 0; s < segs.size(); ++s) {
+        if (segs[s].base != prog.baseOf(s))
             return false;
     }
     return true;
@@ -55,7 +55,12 @@ GoldenLedger::open(const std::vector<u64> &targets)
     Entry &e = entries_[slot];
     e.targets = targets;
     e.archDigests.assign(n, 0);
-    e.digests.assign(master_->memory().segmentCount(), 0);
+    // Segments of absent threads (s >= n) are never written by the
+    // fault-free master, so their digest now is their golden value.
+    const mem::Memory &m = master_->memory();
+    e.digests.assign(m.segmentCount(), 0);
+    for (size_t s = n; s < e.digests.size(); ++s)
+        e.digests[s] = m.segmentDigest(s);
     e.trapped = false;
     e.crossed = true;
     e.remaining = n;

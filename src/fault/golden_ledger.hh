@@ -16,6 +16,14 @@
  * architectural register state, trap status and segment contents a
  * frozen golden fork would show at target N.
  *
+ * A program may declare more segments than the core runs threads
+ * (WorkloadSpec::maxThreads is floored at 2, so a 1-thread core gets
+ * 2 segments; a 2-thread core may run a 4-thread image). Segment s
+ * then belongs to absent thread s. Nothing in a fault-free run writes
+ * it — every access is r1-relative into the accessing thread's own
+ * segment — so its digest on the master is constant and equals what
+ * a frozen golden fork would show. open() samples it once.
+ *
  * The ledger rides the master's retirement stream (CommitObserver):
  * opening an entry registers one watch per thread at the trial's
  * commit target; when the master crosses a watch the ledger samples
@@ -64,7 +72,9 @@ class GoldenLedger final : public pipeline::CommitObserver
          *  because the master is fault-free). Fork-side compares
          *  recompute from the fork's materialized archState(). */
         std::vector<u64> archDigests;
-        std::vector<u64> digests;          ///< per segment (== thread)
+        /** Per segment: owner thread's segments sampled at its
+         *  crossing, absent threads' segments at open(). */
+        std::vector<u64> digests;
         bool trapped = false;
         /** True iff every thread finalized at a genuine commit-target
          *  crossing (not a halt, pre-halted open, or force-finalize).
@@ -92,11 +102,13 @@ class GoldenLedger final : public pipeline::CommitObserver
     void retarget(pipeline::Core &master) { master_ = &master; }
 
     /**
-     * The master-as-golden argument needs the thread <-> segment
-     * bijection: one memory segment per SMT thread, in thread order,
-     * based at the thread's r1 data base. Campaigns on programs that
-     * break this (none of the built-in workloads do) fall back to the
-     * explicit golden fork.
+     * The master-as-golden argument needs every memory segment s to be
+     * thread s's private segment: in thread order, based at
+     * prog.baseOf(s), with at least one segment per SMT thread.
+     * Segments beyond the core's thread count belong to absent threads
+     * (see file comment). Every built-in workload satisfies this at
+     * any SMT width up to WorkloadSpec::maxThreads; CampaignSession
+     * refuses programs that do not.
      */
     static bool supports(const pipeline::Core &master,
                          const isa::Program &prog);
@@ -106,7 +118,7 @@ class GoldenLedger final : public pipeline::CommitObserver
      * state, with the given per-thread commit targets (nondecreasing
      * across successive opens, since targets are committed + window).
      * Returns the entry's slot. Threads already halted finalize
-     * immediately.
+     * immediately; absent threads' segment digests are sampled now.
      */
     u32 open(const std::vector<u64> &targets);
 

@@ -549,7 +549,7 @@ namespace
 struct EarlyStopCase
 {
     u64 seed;
-    bool goldenFork;
+    unsigned smt; ///< CoreParams::threads (the program has 2 segments)
 };
 
 class EarlyStopEquivalence : public testing::TestWithParam<EarlyStopCase>
@@ -566,9 +566,9 @@ class EarlyStopEquivalence : public testing::TestWithParam<EarlyStopCase>
  * over random programs with early stop forced on and off: every
  * classification counter, the SDC bins, and the per-stratum profile
  * rows must be identical. Only the earlyTerminated diagnostic (and the
- * trials' exit cycles, which no counter reads) may differ. Runs in
- * both golden modes so the forked-golden and checkpoint-ledger arming
- * conditions are each exercised.
+ * trials' exit cycles, which no counter reads) may differ. Runs on a
+ * single-SMT-thread core too, where the ledger entry that licenses
+ * arming also carries an absent thread's segment.
  */
 TEST_P(EarlyStopEquivalence, ClassificationIdentical)
 {
@@ -576,6 +576,7 @@ TEST_P(EarlyStopEquivalence, ClassificationIdentical)
     Program prog = randomProgram(c.seed, 100'000);
 
     pipeline::CoreParams params;
+    params.threads = c.smt;
     params.detector = filters::DetectorParams::faultHound();
 
     fault::CampaignConfig cfg;
@@ -583,7 +584,6 @@ TEST_P(EarlyStopEquivalence, ClassificationIdentical)
     cfg.window = 200;
     cfg.seed = c.seed;
     cfg.threads = 2;
-    cfg.forceGoldenFork = c.goldenFork;
 
     cfg.earlyStop = true;
     const fault::CampaignResult on =
@@ -629,9 +629,9 @@ TEST_P(EarlyStopEquivalence, ClassificationIdentical)
 
 INSTANTIATE_TEST_SUITE_P(
     Campaigns, EarlyStopEquivalence,
-    testing::Values(EarlyStopCase{7, false}, EarlyStopCase{7, true},
-                    EarlyStopCase{19, false}),
+    testing::Values(EarlyStopCase{7, 2}, EarlyStopCase{7, 1},
+                    EarlyStopCase{19, 2}),
     [](const testing::TestParamInfo<EarlyStopCase> &i) {
-        return "seed" + std::to_string(i.param.seed) +
-               (i.param.goldenFork ? "_forked" : "_ledger");
+        return "seed" + std::to_string(i.param.seed) + "_smt" +
+               std::to_string(i.param.smt);
     });

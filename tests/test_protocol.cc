@@ -343,7 +343,6 @@ TEST(CampaignSpec, RoundTrip)
     spec.campaign.window = 456;
     spec.campaign.seed = 789;
     spec.campaign.mix.renameFrac = 0.25;
-    spec.campaign.forceGoldenFork = true;
     spec.campaign.trialTimeoutMs = 1500;
     spec.campaign.earlyStop = false;
     spec.campaign.ciTarget = 0.015625;
@@ -363,7 +362,6 @@ TEST(CampaignSpec, RoundTrip)
     EXPECT_EQ(out.campaign.window, 456u);
     EXPECT_EQ(out.campaign.seed, 789u);
     EXPECT_EQ(out.campaign.mix.renameFrac, 0.25);
-    EXPECT_TRUE(out.campaign.forceGoldenFork);
     EXPECT_EQ(out.campaign.trialTimeoutMs, 1500u);
     EXPECT_FALSE(out.campaign.earlyStop);
     EXPECT_EQ(out.campaign.ciTarget, 0.015625);
@@ -386,6 +384,18 @@ TEST(CampaignSpec, RejectsUnknownKeysAndBadNames)
     spec.bench = "ocean";
     spec.scheme = "no-such-scheme";
     EXPECT_FALSE(CampaignSpec::decode(spec.encode(), out, error));
+}
+
+// The golden-fork campaign mode is gone. A coordinator that still
+// sends its key must be refused loudly, never run as a ledger
+// campaign under a mode the peer believes it asked for.
+TEST(CampaignSpec, RejectsRemovedGoldenForkKey)
+{
+    CampaignSpec out;
+    std::string error;
+    EXPECT_FALSE(CampaignSpec::decode(
+        CampaignSpec{}.encode() + "golden_fork = 1\n", out, error));
+    EXPECT_NE(error.find("golden_fork"), std::string::npos);
 }
 
 } // namespace

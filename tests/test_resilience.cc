@@ -130,27 +130,25 @@ baseConfig()
 }
 
 /**
- * The resume-determinism contract (at the given worker-thread count,
- * in either golden mode): killing a journaled campaign after K
- * executed trials and rerunning it with the same configuration yields
- * the exact counters of the uninterrupted reference run.
+ * The resume-determinism contract (at the given worker-thread count):
+ * killing a journaled campaign after K executed trials and rerunning
+ * it with the same configuration yields the exact counters of the
+ * uninterrupted reference run.
  */
 void
-checkResume(unsigned threads, bool golden_fork)
+checkResume(unsigned threads)
 {
     auto program = prog();
     auto params = fhParams();
 
     fault::CampaignConfig cfg = baseConfig();
     cfg.threads = threads;
-    cfg.forceGoldenFork = golden_fork;
     const auto reference = fault::runCampaign(params, &program, cfg);
     ASSERT_EQ(reference.injected, cfg.injections);
     EXPECT_FALSE(reference.partial);
 
-    cfg.journalPath = journalPath(
-        "resume_t" + std::to_string(threads) +
-        (golden_fork ? "_gf" : "_ledger") + ".fhj");
+    cfg.journalPath =
+        journalPath("resume_t" + std::to_string(threads) + ".fhj");
     cfg.stopAfterTrials = 10; // simulated SIGINT after 10 trials
     const auto interrupted = fault::runCampaign(params, &program, cfg);
     EXPECT_TRUE(interrupted.partial);
@@ -259,19 +257,9 @@ TEST(TrialIsolationDeathTest, StrictModeAbortsCampaignOnTrialPanic)
                  "panic: campaign debug hook");
 }
 
-TEST(Journal, ResumeBitIdenticalLedgerSerial) { checkResume(1, false); }
+TEST(Journal, ResumeBitIdenticalLedgerSerial) { checkResume(1); }
 
-TEST(Journal, ResumeBitIdenticalLedgerParallel) { checkResume(4, false); }
-
-TEST(Journal, ResumeBitIdenticalGoldenForkSerial)
-{
-    checkResume(1, true);
-}
-
-TEST(Journal, ResumeBitIdenticalGoldenForkParallel)
-{
-    checkResume(4, true);
-}
+TEST(Journal, ResumeBitIdenticalLedgerParallel) { checkResume(4); }
 
 TEST(Journal, CompletedJournalShortCircuitsTheCampaign)
 {
@@ -362,14 +350,6 @@ TEST(HungForks, CampaignCountsHungForksWithoutReclassifying)
     cfg.threads = 4;
     const auto parallel = fault::runCampaign(params, &program, cfg);
     expectIdentical(serial, parallel);
-
-    // The legacy golden-fork loop hits its own drain-free path with
-    // the same hang accounting.
-    cfg.forceGoldenFork = true;
-    cfg.threads = 1;
-    const auto forked = fault::runCampaign(params, &program, cfg);
-    EXPECT_EQ(forked.injected, cfg.injections);
-    EXPECT_GT(forked.hungBare, 0u);
 }
 
 TEST(Watchdog, TimeoutClassifiesRunawayTrialsAsErrors)
