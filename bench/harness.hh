@@ -16,11 +16,12 @@
  *                  run many campaign cells would contend for the file)
  *   FH_TRIAL_TIMEOUT_MS  per-trial wall-clock budget; overruns are
  *                  isolated and counted as trial errors
- *   FH_EARLY_STOP  set to 0 to disable bare-fork early termination on
- *                  provable fault erasure (unset or any other value
- *                  leaves it on; classification is identical either
- *                  way). Read by CampaignConfig::envEarlyStop, the
- *                  same parser fhsim, the tests and perfbench use
+ *   FH_EARLY_STOP  0/false/no/off disables bare-fork early
+ *                  termination on provable fault erasure (unset or
+ *                  1/true/yes/on leaves it on, anything else is fatal;
+ *                  classification is identical either way). Read by
+ *                  CampaignConfig::envEarlyStop, the same parser
+ *                  fhsim, the tests and perfbench use
  *   FH_CI_TARGET   adaptive stop: pooled SDC-rate Wilson CI
  *                  half-width target (default 0 = fixed-count)
  *   FH_CI_WAVE     adaptive stop wave size in trials (default 64)

@@ -401,6 +401,26 @@ emitCampaignOutputs(const Config &cfg, const std::string &bench,
     return 0;
 }
 
+/** Coordinator options shared by dispatch and serve: endpoint, lease
+ *  chunking and timeout, progress. False (reported) on a bad endpoint. */
+bool
+coordinatorOptions(const Config &cfg, unsigned workers,
+                   exec::ProgressMeter &meter,
+                   dist::CoordinatorOptions &copts)
+{
+    copts.workers = workers;
+    copts.chunk = cfg.getU64("chunk", 0);
+    copts.leaseTimeoutMs = cfg.getU64(
+        "lease_timeout_ms", u64FromEnv("FH_LEASE_TIMEOUT_MS", 10000));
+    copts.progress = &meter;
+    std::string error;
+    if (dist::parseEndpoint(cfg.getString("listen", "127.0.0.1:0"),
+                            copts.listen, error))
+        return true;
+    std::fprintf(stderr, "fhsim: %s\n", error.c_str());
+    return false;
+}
+
 /** Coordinator driver shared by dispatch and serve. */
 int
 runCoordinator(const Config &cfg, dist::Coordinator &coord,
@@ -409,17 +429,10 @@ runCoordinator(const Config &cfg, dist::Coordinator &coord,
     fault::CampaignConfig ccfg = spec.campaign;
     ccfg.journalPath = journalPathFromConfig(cfg);
     std::unique_ptr<fault::TrialJournal> journal;
-    if (!ccfg.journalPath.empty()) {
+    if (!ccfg.journalPath.empty())
         journal = std::make_unique<fault::TrialJournal>(
             ccfg.journalPath, ccfg,
             filters::to_string(spec.buildParams().detector.scheme));
-        if (journal->replayCount() > 0)
-            fh_inform("journal '%s': replaying %llu completed "
-                      "trial(s)",
-                      ccfg.journalPath.c_str(),
-                      static_cast<unsigned long long>(
-                          journal->replayCount()));
-    }
 
     const auto t0 = std::chrono::steady_clock::now();
     fault::CampaignResult r = coord.run(journal.get());
@@ -439,17 +452,8 @@ runCoordinator(const Config &cfg, dist::Coordinator &coord,
                  static_cast<unsigned long long>(ds.reconnects),
                  static_cast<unsigned long long>(ds.quarantined),
                  ds.degraded ? ", DEGRADED to in-process tail" : "");
-    fault::FabricHealth health;
-    health.workersJoined = ds.workersJoined;
-    health.workersDied = ds.workersDied;
-    health.crcErrors = ds.crcErrors;
-    health.reconnects = ds.reconnects;
-    health.rangesIssued = ds.rangesIssued;
-    health.rangesReissued = ds.rangesReissued;
-    health.quarantined = ds.quarantined;
-    health.degraded = ds.degraded;
     return emitCampaignOutputs(cfg, spec.bench, workers, ccfg, r,
-                               seconds, &health);
+                               seconds, &ds);
 }
 
 int
@@ -476,17 +480,8 @@ cmdDispatch(int argc, char **argv)
                               spec.campaign.injections);
 
     dist::CoordinatorOptions copts;
-    copts.workers = jobs;
-    copts.chunk = cfg.getU64("chunk", 0);
-    copts.leaseTimeoutMs = cfg.getU64(
-        "lease_timeout_ms", u64FromEnv("FH_LEASE_TIMEOUT_MS", 10000));
-    copts.progress = &meter;
-    std::string error;
-    if (!dist::parseEndpoint(cfg.getString("listen", "127.0.0.1:0"),
-                             copts.listen, error)) {
-        std::fprintf(stderr, "fhsim: %s\n", error.c_str());
+    if (!coordinatorOptions(cfg, jobs, meter, copts))
         return 1;
-    }
     const u64 heartbeatMs = cfg.getU64(
         "heartbeat_ms", u64FromEnv("FH_HEARTBEAT_MS", 300));
     dist::Coordinator coord(spec, copts);
@@ -552,19 +547,12 @@ cmdServe(int argc, char **argv)
                               spec.campaign.injections);
 
     dist::CoordinatorOptions copts;
-    std::string error;
-    if (!dist::parseEndpoint(
-            cfg.getString("listen", "127.0.0.1:0"), copts.listen,
-            error)) {
-        std::fprintf(stderr, "fhsim: %s\n", error.c_str());
+    if (!coordinatorOptions(
+            cfg,
+            static_cast<unsigned>(
+                std::max<u64>(1, cfg.getU64("workers", 1))),
+            meter, copts))
         return 1;
-    }
-    copts.workers = static_cast<unsigned>(
-        std::max<u64>(1, cfg.getU64("workers", 1)));
-    copts.chunk = cfg.getU64("chunk", 0);
-    copts.leaseTimeoutMs = cfg.getU64(
-        "lease_timeout_ms", u64FromEnv("FH_LEASE_TIMEOUT_MS", 10000));
-    copts.progress = &meter;
     dist::Coordinator coord(spec, copts);
     std::fprintf(stderr,
                  "fhsim: serving %llu injections on %s; start "
@@ -609,7 +597,8 @@ cmdWorker(int argc, char **argv)
 int
 runSim(const Config &cfg)
 {
-    const std::string bench = cfg.getString("bench", "400.perl");
+    const dist::CampaignSpec spec = specFromConfig(cfg);
+    const std::string &bench = spec.bench;
     if (!workload::find(bench)) {
         std::fprintf(stderr, "fhsim: unknown benchmark '%s'; pick "
                              "one of:\n",
@@ -618,30 +607,14 @@ runSim(const Config &cfg)
             std::fprintf(stderr, "  %s\n", info.name.c_str());
         return 1;
     }
-
-    workload::WorkloadSpec spec;
-    spec.maxThreads =
-        std::max<unsigned>(2, static_cast<unsigned>(
-                                  cfg.getU64("threads", 2)));
-    spec.seed = cfg.getU64("seed", 0x5eedULL);
-    isa::Program prog = workload::build(bench, spec);
-
-    pipeline::CoreParams params;
-    params.threads =
-        static_cast<unsigned>(cfg.getU64("threads", 2));
-    if (!dist::schemeByName(cfg.getString("scheme", "faulthound"),
-                            params.detector)) {
+    filters::DetectorParams known;
+    if (!dist::schemeByName(spec.scheme, known)) {
         std::fprintf(stderr, "fhsim: unknown scheme '%s'\n",
-                     cfg.getString("scheme", "").c_str());
+                     spec.scheme.c_str());
         return 1;
     }
-    params.detector.tcam.entries = static_cast<unsigned>(
-        cfg.getU64("tcam.entries", params.detector.tcam.entries));
-    params.detector.tcam.loosenThreshold =
-        static_cast<unsigned>(cfg.getU64(
-            "tcam.threshold", params.detector.tcam.loosenThreshold));
-    params.delayBufferSize = static_cast<unsigned>(
-        cfg.getU64("delay_buffer", params.delayBufferSize));
+    const isa::Program prog = spec.buildProgram();
+    const pipeline::CoreParams params = spec.buildParams();
 
     const u64 insts = cfg.getU64("insts", 100000);
     std::fprintf(stderr,
@@ -663,7 +636,7 @@ runSim(const Config &cfg)
                 "energy.detector", e.detector);
 
     if (cfg.getBool("campaign", false)) {
-        fault::CampaignConfig ccfg = specFromConfig(cfg).campaign;
+        fault::CampaignConfig ccfg = spec.campaign;
         ccfg.threads =
             static_cast<unsigned>(cfg.getU64("jobs", 0));
         ccfg.journalPath = journalPathFromConfig(cfg);

@@ -14,7 +14,9 @@
  * run's for any worker count, any chunk size, and any interleaving —
  * including across worker deaths, because a lease's acknowledged
  * prefix is exactly what was merged and the re-issued remainder
- * re-executes trials whose records were never ingested.
+ * re-executes trials whose records were never ingested. The merge
+ * itself — fold, journal, progress, adaptive stop — is
+ * fault::TrialMerge, the same code a single-process run uses.
  *
  * Elasticity: leases are granted from a sorted queue of chunks,
  * lowest first, one outstanding lease per worker. A worker death
@@ -31,11 +33,13 @@
 #include <chrono>
 #include <deque>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "dist/spec.hh"
 #include "dist/wire.hh"
 #include "fault/campaign.hh"
+#include "fault/campaign_json.hh"
 #include "fault/journal.hh"
 
 namespace fh::exec
@@ -60,8 +64,10 @@ struct CoordinatorOptions
      *  re-issued. Generous: heartbeats flow even while a worker
      *  grinds one slow trial, so silence really means hung/dead. */
     u64 leaseTimeoutMs = 10000;
-    /** Give up (fatal) after this long with work outstanding and not
-     *  a single live worker. */
+    /** After this long with work outstanding and not a single live
+     *  worker, execute the remaining trials in-process (bit-identical
+     *  — each trial is a pure function of spec and index), flagged in
+     *  DistStats::degraded and FH_JSON's "fabric" block. */
     u64 noWorkerTimeoutMs = 120000;
     exec::ProgressMeter *progress = nullptr; ///< ticked per merged trial
     /** Test hook: behave as if SIGTERM arrived once this many trials
@@ -70,30 +76,15 @@ struct CoordinatorOptions
 
     /** Lease failures (death/timeout/corruption with a lease held)
      *  before a worker pid is quarantined — its Hello is still
-     *  welcome, but it gets no leases until the cool-off expires. A
+     *  welcome, but it gets no leases until a cool-off expires. A
      *  successful lease clears the strike count. */
     unsigned quarantineStrikes = 3;
-    u64 quarantineCooloffMs = 2000;
-
-    /** When the whole fleet is dead past noWorkerTimeoutMs, execute
-     *  the remaining trials in-process (bit-identical — each trial is
-     *  a pure function of spec and index) instead of dying with work
-     *  outstanding. The result is flagged in DistStats::degraded and
-     *  FH_JSON's "fabric" block. false restores the old fatal. */
-    bool degradeToLocal = true;
 };
 
-struct DistStats
+/** The fabric health block plus the merge count this run added. */
+struct DistStats : fault::FabricHealth
 {
-    unsigned workersJoined = 0;
-    unsigned workersDied = 0; ///< EOF, protocol violation, or timeout
-    u64 rangesIssued = 0;
-    u64 rangesReissued = 0;
     u64 trialsMerged = 0;
-    u64 crcErrors = 0;   ///< frames rejected by the CRC trailer
-    u64 reconnects = 0;  ///< Hellos carrying a nonzero reconnect ordinal
-    u64 quarantined = 0; ///< quarantine episodes (not distinct pids)
-    bool degraded = false; ///< tail ran in-process, fleet was dead
 };
 
 class Coordinator
@@ -152,12 +143,11 @@ class Coordinator
     void dropConn(Conn &c, const char *why);
     void requeue(Range r);
     void issueLeases();
-    void applyHalt(u64 haltTrial);
-    void drainStash(fault::TrialJournal *journal);
-    void maybeCiStop();
+    void shrinkEnd(u64 end);
+    void drainStash();
     void beginShutdown();
     bool outstandingWork() const;
-    void runDegradedTail(fault::TrialJournal *journal);
+    void runDegradedTail();
 
     CampaignSpec spec_;
     CoordinatorOptions opts_;
@@ -184,14 +174,10 @@ class Coordinator
 
     std::deque<Range> queue_; ///< sorted by begin, non-overlapping
     std::map<u64, MergedTrial> stash_;
-    u64 mergedNext_ = 0;
-    u64 effectiveEnd_ = 0; ///< injections, shrunk by halt or CI stop
     bool shuttingDown_ = false;
-    /** The campaign's stratification — the same analytic weights every
-     *  worker uses, so the coordinator's CI stop rule is the exact
-     *  rule a single process applies to the same merged prefix. */
-    fault::StratumSpace strata_;
-    fault::CampaignResult result_;
+    /** The merged prefix [0, next()) and the effective end (shrunk by
+     *  a halt or the CI stop); lives for the duration of run(). */
+    std::optional<fault::TrialMerge> merge_;
     DistStats stats_;
 };
 

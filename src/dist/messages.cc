@@ -45,6 +45,7 @@ std::vector<u8>
 SpecMsg::encode() const
 {
     std::vector<u8> p;
+    p.reserve(4 + text.size());
     putString(p, text);
     return p;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -14,6 +13,7 @@
 #include "exec/thread_pool.hh"
 #include "fault/golden_ledger.hh"
 #include "fault/journal.hh"
+#include "sim/config.hh"
 #include "sim/error.hh"
 #include "sim/logging.hh"
 
@@ -23,10 +23,7 @@ namespace fh::fault
 bool
 CampaignConfig::envEarlyStop()
 {
-    static const bool on = [] {
-        const char *v = std::getenv("FH_EARLY_STOP");
-        return !v || !(v[0] == '0' && v[1] == '\0');
-    }();
+    static const bool on = envBool("FH_EARLY_STOP", true);
     return on;
 }
 
@@ -582,8 +579,6 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
                     return runTrial(params, cfg, t,
                                     ledger->entry(wave[k].slot), fs, dl);
                 });
-            if (cfg.progress)
-                cfg.progress->tick();
         });
         // Merge — and sink — in trial (production) order:
         // bit-identical for any worker count. Ledger slots and trial
@@ -759,95 +754,108 @@ CampaignSession::runRange(u64 begin, u64 end, const TrialSink &sink)
     return impl_->runRange(begin, end, sink);
 }
 
+TrialMerge::TrialMerge(const CampaignConfig &cfg, TrialJournal *journal,
+                       exec::ProgressMeter *progress)
+    : ciTarget_(cfg.ciTarget), wave_(std::max<u64>(cfg.ciWave, 1)),
+      space_(cfg.mix), journal_(journal), progress_(progress),
+      end_(cfg.injections)
+{
+    if (!journal_)
+        return;
+    // A journaled trial's outcome is already known: only its counters
+    // and profile fold here, and whichever session runs next()
+    // skip-advances the master over the journaled gaps.
+    for (; next_ < journal_->replayCount(); ++next_) {
+        fold(journal_->replayed(next_), journal_->replayedMeta(next_));
+        ++result_.replayedTrials;
+    }
+    stopAtWave();
+}
+
+void
+TrialMerge::fold(const CampaignResult &delta, const TrialMeta &meta)
+{
+    result_ += delta;
+    result_.profile.addTrial(delta, meta);
+    if (progress_)
+        progress_->tick();
+}
+
+bool
+TrialMerge::add(const CampaignResult &delta, const TrialMeta &meta)
+{
+    fold(delta, meta);
+    if (journal_)
+        journal_->record(next_, delta, meta);
+    ++next_;
+    return stopAtWave();
+}
+
+bool
+TrialMerge::stopAtWave()
+{
+    if (ciTarget_ <= 0.0 || next_ == 0 || next_ >= end_ ||
+        next_ % wave_ != 0 ||
+        pooledSdcHalfWidth(result_.profile, space_) > ciTarget_) {
+        return false;
+    }
+    result_.ciStopped = true;
+    end_ = next_;
+    return true;
+}
+
+void
+TrialMerge::shrink(u64 trial)
+{
+    end_ = std::min(end_, trial);
+}
+
+void
+TrialMerge::drive(CampaignSession &session)
+{
+    const TrialSink sink = [this](u64, const CampaignResult &delta,
+                                  const TrialMeta &meta) {
+        add(delta, meta);
+    };
+    while (!done()) {
+        u64 end = end_;
+        if (ciTarget_ > 0.0)
+            end = std::min(end, (next_ / wave_ + 1) * wave_);
+        const RangeOutcome out = session.runRange(next_, end, sink);
+        result_.phases += out.phases;
+        result_.sched += out.sched;
+        if (out.halted)
+            shrink(out.nextTrial);
+        if (out.halted || out.stopped)
+            return;
+    }
+}
+
+CampaignResult
+TrialMerge::result() const
+{
+    CampaignResult r = result_;
+    r.partial = !done();
+    return r;
+}
+
 CampaignResult
 runCampaign(const pipeline::CoreParams &params, const isa::Program *prog,
             const CampaignConfig &cfg)
 {
     // The session runs warmup; a workload that halts inside it is
-    // fatal before any journal is touched, exactly as before.
+    // fatal before any journal is touched. The journal header pins the
+    // configuration, so a resumed run either continues bit-identically
+    // or refuses.
     CampaignSession session(params, prog, cfg);
-
-    // Durable progress: open (and replay) the trial journal before
-    // the first injection point. The header pins the configuration,
-    // so a resumed run either continues bit-identically or refuses.
-    CampaignResult result;
-    u64 start = 0;
     std::unique_ptr<TrialJournal> journal;
-    if (!cfg.journalPath.empty()) {
+    if (!cfg.journalPath.empty())
         journal = std::make_unique<TrialJournal>(
             cfg.journalPath, cfg,
             filters::to_string(params.detector.scheme));
-        if (journal->replayCount() > 0)
-            fh_inform("journal '%s': replaying %llu completed trial(s)",
-                      cfg.journalPath.c_str(),
-                      static_cast<unsigned long long>(
-                          journal->replayCount()));
-        // A journaled trial's outcome is already known; the session
-        // skip-advances the master over its gap (same schedule as the
-        // original run), so only the counters are added here. The
-        // profile rebuilds from the journaled (delta, meta) pairs —
-        // the same fold an uninterrupted run performs in its sink.
-        for (u64 t = 0; t < journal->replayCount(); ++t) {
-            const CampaignResult &delta = journal->replayed(t);
-            result += delta;
-            result.profile.addTrial(delta, journal->replayedMeta(t));
-            ++result.replayedTrials;
-            if (cfg.progress)
-                cfg.progress->tick();
-        }
-        start = journal->replayCount();
-    }
-
-    const TrialSink sink = [&](u64 trial, const CampaignResult &delta,
-                               const TrialMeta &meta) {
-        result += delta;
-        result.profile.addTrial(delta, meta);
-        if (journal)
-            journal->record(trial, delta, meta);
-    };
-
-    bool stopped = false;
-    if (cfg.ciTarget <= 0.0) {
-        // Fixed-count legacy mode: one range covers the whole
-        // campaign, bit-identical to previous revisions.
-        RangeOutcome out = session.runRange(start, cfg.injections, sink);
-        stopped = out.stopped;
-        result.phases += out.phases;
-        result.sched += out.sched;
-    } else {
-        // Adaptive mode: drive the session one wave at a time and
-        // evaluate the pooled CI half-width only at wave boundaries,
-        // on counters merged in trial order. The stop decision is a
-        // pure function of the merged trial prefix, so every thread
-        // count — and a journal resume, which rebuilds the same
-        // prefix above — stops at the same wave; the dist coordinator
-        // applies the identical rule to its merged stream.
-        const StratumSpace &space = session.strata();
-        const u64 wave = std::max<u64>(cfg.ciWave, 1);
-        u64 pos = start;
-        while (pos < cfg.injections) {
-            if (pos > 0 && pos % wave == 0 &&
-                pooledSdcHalfWidth(result.profile, space) <=
-                    cfg.ciTarget) {
-                result.ciStopped = true;
-                break;
-            }
-            const u64 waveEnd =
-                std::min((pos / wave + 1) * wave, cfg.injections);
-            RangeOutcome out = session.runRange(pos, waveEnd, sink);
-            result.phases += out.phases;
-            result.sched += out.sched;
-            pos = out.nextTrial;
-            if (out.halted)
-                break;
-            if (out.stopped) {
-                stopped = true;
-                break;
-            }
-        }
-    }
-    result.partial = stopped;
-    return result;
+    TrialMerge merge(cfg, journal.get(), cfg.progress);
+    merge.drive(session);
+    return merge.result();
 }
 
 } // namespace fh::fault

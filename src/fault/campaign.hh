@@ -79,7 +79,8 @@ struct CampaignConfig
      * core's SMT threads (see `window`).
      */
     unsigned threads = 0;
-    /** Optional meter ticked once per completed trial (may be null). */
+    /** Optional meter ticked once per merged trial, replayed ones
+     *  included (may be null; see TrialMerge). */
     exec::ProgressMeter *progress = nullptr;
 
     /**
@@ -134,11 +135,11 @@ struct CampaignConfig
     bool earlyStop = envEarlyStop();
 
     /**
-     * FH_EARLY_STOP environment default for earlyStop (unset or any
-     * value but "0" = on). An env read, so the pinned-count and
-     * golden-ledger suites can be rerun with early termination
-     * forced off as an equivalence oracle without touching their
-     * configs.
+     * FH_EARLY_STOP environment default for earlyStop: unset = on,
+     * otherwise parsed by envBool (a value it cannot read is fatal).
+     * An env read, so the pinned-count and golden-ledger suites can
+     * be rerun with early termination forced off as an equivalence
+     * oracle without touching their configs.
      */
     static bool envEarlyStop();
 
@@ -149,8 +150,8 @@ struct CampaignConfig
      * where the pooled Wilson half-width on the SDC rate is <= this.
      * 0 (default) = fixed-count legacy mode, bit-identical schedules
      * and results to previous revisions. The stop decision is a pure
-     * function of merged wave counters, so adaptive runs are
-     * deterministic across thread and dist worker counts.
+     * function of merged wave counters (TrialMerge), so adaptive runs
+     * are deterministic across thread and dist worker counts.
      */
     double ciTarget = 0.0;
 
@@ -327,7 +328,7 @@ struct CampaignResult
     CampaignPhases phases; ///< wall-time breakdown (not a count)
     SchedCounters sched;   ///< scheduler observability (not journaled)
     /** Per-site vulnerability profile; empty on per-trial deltas
-     *  (producers fold deltas + meta via VulnProfile::addTrial). */
+     *  (TrialMerge folds deltas + meta via VulnProfile::addTrial). */
     VulnProfile profile;
 
     u64 covered() const { return recovered + detected; }
@@ -383,9 +384,9 @@ CampaignResult runCampaign(const pipeline::CoreParams &params,
  * Per-trial result consumer: called once per executed trial, in trial
  * order, with the trial's counter deltas and its sampling metadata
  * (stratum, site, attribution — see TrialMeta). This is the journal's
- * record stream generalized — runCampaign's sink appends to the
- * TrialJournal and folds the profile, a distributed worker's sink
- * frames the same deltas + meta onto a socket.
+ * record stream generalized — runCampaign's sink feeds a TrialMerge,
+ * a distributed worker's sink frames the same deltas + meta onto a
+ * socket.
  */
 using TrialSink = std::function<void(
     u64 trial, const CampaignResult &delta, const TrialMeta &meta)>;
@@ -426,8 +427,8 @@ class CampaignSession
 {
   public:
     /** Builds the master and runs warmup (fatal if the workload halts
-     *  during it, as runCampaign always was). cfg.journalPath is
-     *  ignored here — journaling belongs to the caller's sink. */
+     *  during it, as runCampaign always was). cfg.journalPath and
+     *  cfg.progress are ignored here — they belong to TrialMerge. */
     CampaignSession(const pipeline::CoreParams &params,
                     const isa::Program *prog, const CampaignConfig &cfg);
     ~CampaignSession();
@@ -467,6 +468,76 @@ class CampaignSession
   private:
     struct Impl;
     std::unique_ptr<Impl> impl_;
+};
+
+class TrialJournal;
+
+/**
+ * The trial-order merge: the one consumer of a campaign's trial
+ * stream, shared by runCampaign, the dist coordinator's lease merge
+ * and its degraded in-process tail. Trials arrive in trial order
+ * starting at next(); each is folded into the result and its
+ * vulnerability profile, appended to the journal, and ticked on the
+ * progress meter.
+ *
+ * It also owns the adaptive stop rule (cfg.ciTarget > 0): when the
+ * merged prefix reaches a cfg.ciWave boundary below end() and the
+ * pooled SDC half-width is <= cfg.ciTarget, end() shrinks to that
+ * boundary and the result is marked ciStopped. The half-width is
+ * evaluated only at wave boundaries. The decision is a pure function
+ * of the merged prefix, so every thread count, a journal resume and
+ * the dist fabric stop at the same wave.
+ */
+class TrialMerge
+{
+  public:
+    /**
+     * Start at trial 0, ending at cfg.injections. journal and
+     * progress may be null. A journal's replayed prefix is folded
+     * here (counted in replayedTrials) and the stop rule applied at
+     * its end, so a resumed adaptive campaign that already met its
+     * target is done() before any trial runs.
+     */
+    TrialMerge(const CampaignConfig &cfg, TrialJournal *journal,
+               exec::ProgressMeter *progress);
+
+    /** Fold trial next(). True when the stop rule fired on it, i.e.
+     *  end() just shrank to next(). */
+    bool add(const CampaignResult &delta, const TrialMeta &meta);
+
+    /** The workload halted at trial: no trial at or past it exists.
+     *  Shrinks end(); no-op when trial >= end(). */
+    void shrink(u64 trial);
+
+    /**
+     * Merge session's trials from next() until done(), a halt or a
+     * shutdown. A fixed-count campaign is one runRange call; an
+     * adaptive one runs wave-bounded ranges so the stop rule sees
+     * every boundary. The session must not be past next().
+     */
+    void drive(CampaignSession &session);
+
+    u64 next() const { return next_; }
+    u64 end() const { return end_; }
+    bool done() const { return next_ >= end_; }
+
+    /** The merged counters; partial when the prefix is short of end(). */
+    CampaignResult result() const;
+
+  private:
+    /** Counters, profile and progress: what replay and add share. */
+    void fold(const CampaignResult &delta, const TrialMeta &meta);
+    /** The stop rule at next(); true (and end() == next()) if fired. */
+    bool stopAtWave();
+
+    double ciTarget_;
+    u64 wave_;
+    StratumSpace space_;
+    TrialJournal *journal_;
+    exec::ProgressMeter *progress_;
+    CampaignResult result_;
+    u64 next_ = 0;
+    u64 end_;
 };
 
 } // namespace fh::fault

@@ -22,19 +22,20 @@ namespace fh::fault
 /**
  * Distributed-fabric health for the FH_JSON "fabric" block: host-local
  * observability (like "scheduler" and the phase breakdown), never on
- * the wire and never classification. Filled from dist::DistStats by
- * the coordinator drivers; single-process runs omit the block
- * entirely, keeping their JSON byte-identical to previous revisions.
+ * the wire and never classification. dist::DistStats extends it, so
+ * a coordinator's stats are passed as they are; single-process runs
+ * omit the block entirely, keeping their JSON byte-identical to
+ * previous revisions.
  */
 struct FabricHealth
 {
     unsigned workersJoined = 0;
-    unsigned workersDied = 0;
-    u64 crcErrors = 0;
-    u64 reconnects = 0;
+    unsigned workersDied = 0; ///< EOF, protocol violation, or timeout
+    u64 crcErrors = 0;   ///< frames rejected by the CRC trailer
+    u64 reconnects = 0;  ///< Hellos carrying a nonzero reconnect ordinal
     u64 rangesIssued = 0;
     u64 rangesReissued = 0;
-    u64 quarantined = 0;
+    u64 quarantined = 0; ///< quarantine episodes (not distinct pids)
     bool degraded = false; ///< tail ran in-process, fleet was dead
 };
 

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "sim/logging.hh"
+
 namespace fh
 {
 
@@ -119,15 +121,12 @@ Config::getBool(const std::string &key, bool def) const
     auto it = values_.find(key);
     if (it == values_.end())
         return def;
-    std::string v = it->second;
-    std::transform(v.begin(), v.end(), v.begin(), [](unsigned char c) {
-        return static_cast<char>(std::tolower(c));
-    });
-    if (v == "1" || v == "true" || v == "yes" || v == "on")
-        return true;
-    if (v == "0" || v == "false" || v == "no" || v == "off")
-        return false;
-    return def;
+    bool v = def;
+    if (!parseBool(it->second, v))
+        fh_fatal("option '%s': '%s' is not a boolean (use 1/true/yes/on "
+                 "or 0/false/no/off)",
+                 key.c_str(), it->second.c_str());
+    return v;
 }
 
 void
@@ -158,6 +157,35 @@ Config::unknownKeys() const
         if (declared_.count(key) == 0)
             out.push_back(key);
     }
+    return out;
+}
+
+bool
+parseBool(std::string text, bool &out)
+{
+    std::transform(text.begin(), text.end(), text.begin(),
+                   [](unsigned char c) {
+                       return static_cast<char>(std::tolower(c));
+                   });
+    if (text == "1" || text == "true" || text == "yes" || text == "on")
+        out = true;
+    else if (text == "0" || text == "false" || text == "no" ||
+             text == "off")
+        out = false;
+    else
+        return false;
+    return true;
+}
+
+bool
+envBool(const char *name, bool def)
+{
+    const char *v = std::getenv(name);
+    bool out = def;
+    if (v && !parseBool(v, out))
+        fh_fatal("%s='%s' is not a boolean (use 1/true/yes/on or "
+                 "0/false/no/off)",
+                 name, v);
     return out;
 }
 

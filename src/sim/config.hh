@@ -41,6 +41,7 @@ class Config
                           const std::string &def = "") const;
     u64 getU64(const std::string &key, u64 def = 0) const;
     double getDouble(const std::string &key, double def = 0.0) const;
+    /** def when unset; a value parseBool refuses is fatal. */
     bool getBool(const std::string &key, bool def = false) const;
 
     const std::map<std::string, std::string> &entries() const
@@ -87,6 +88,17 @@ class Config
      *  because reading a value is logically const. */
     mutable std::map<std::string, std::string> declared_;
 };
+
+/**
+ * The one boolean syntax of options and environment variables,
+ * case-insensitive: 1/true/yes/on or 0/false/no/off. Anything else,
+ * the empty string included, returns false and leaves out untouched.
+ */
+bool parseBool(std::string text, bool &out);
+
+/** Environment variable name as a boolean: def when unset; a value
+ *  parseBool refuses is fatal, naming the variable and the value. */
+bool envBool(const char *name, bool def);
 
 } // namespace fh
 

@@ -326,27 +326,55 @@ TEST(Chaos, DeadFleetDegradesToInProcessIdentically)
 {
     ::unsetenv("FH_CHAOS");
     dist::chaos::reload();
-    const dist::CampaignSpec spec = testSpec();
-    const std::string refJournal = tempPath("degraded_ref.fhj");
-    const fault::CampaignResult ref = singleProcess(spec, refJournal);
+    // test_sampling's adaptive campaign: the degraded tail must stop
+    // at the single-process run's wave through the same merge.
+    dist::CampaignSpec adaptive = testSpec();
+    adaptive.campaign.injections = 400;
+    adaptive.campaign.seed = 1234;
+    adaptive.campaign.ciTarget = 0.12;
+    adaptive.campaign.ciWave = 32;
+    for (const dist::CampaignSpec &spec : {testSpec(), adaptive}) {
+        const bool isAdaptive = spec.campaign.ciTarget > 0.0;
+        SCOPED_TRACE(isAdaptive ? "adaptive" : "fixed-count");
+        const std::string refJournal = tempPath("degraded_ref.fhj");
+        const fault::CampaignResult ref = singleProcess(spec, refJournal);
+        EXPECT_EQ(ref.ciStopped, isAdaptive);
 
-    dist::CoordinatorOptions opts;
-    opts.workers = 2;
-    opts.noWorkerTimeoutMs = 200; // nobody is coming
-    dist::Coordinator coord(spec, opts);
-    const std::string journal = tempPath("degraded_run.fhj");
-    fault::CampaignResult r;
-    {
-        fault::TrialJournal j(journal, spec.campaign,
-                              schemeName(spec));
-        r = coord.run(&j);
+        dist::CoordinatorOptions opts;
+        opts.workers = 2;
+        opts.noWorkerTimeoutMs = 200; // nobody is coming
+        const std::string journal = tempPath("degraded_run.fhj");
+        {
+            dist::Coordinator coord(spec, opts);
+            fault::TrialJournal j(journal, spec.campaign,
+                                  schemeName(spec));
+            const fault::CampaignResult r = coord.run(&j);
+            expectIdentical(ref, r);
+            EXPECT_EQ(r.ciStopped, ref.ciStopped);
+            EXPECT_FALSE(r.partial);
+            EXPECT_TRUE(coord.stats().degraded);
+        }
+        EXPECT_EQ(fileBytes(refJournal), fileBytes(journal));
+
+        if (isAdaptive) {
+            // Resume from the completed adaptive journal with no
+            // workers: the replayed prefix already meets the stop
+            // rule, so the coordinator stops without leasing anything.
+            dist::Coordinator coord(spec, opts);
+            fault::TrialJournal j(journal, spec.campaign,
+                                  schemeName(spec));
+            const fault::CampaignResult r = coord.run(&j);
+            expectIdentical(ref, r);
+            EXPECT_TRUE(r.ciStopped);
+            EXPECT_FALSE(r.partial);
+            EXPECT_EQ(r.replayedTrials, r.injected);
+            EXPECT_EQ(coord.stats().rangesIssued, 0u);
+            EXPECT_FALSE(coord.stats().degraded);
+        }
+        EXPECT_EQ(fileBytes(refJournal), fileBytes(journal));
+        std::remove(refJournal.c_str());
+        std::remove(journal.c_str());
     }
-    expectIdentical(ref, r);
-    EXPECT_FALSE(r.partial);
-    EXPECT_TRUE(coord.stats().degraded);
-    EXPECT_EQ(fileBytes(refJournal), fileBytes(journal));
-    std::remove(refJournal.c_str());
-    std::remove(journal.c_str());
 }
 
 // ---------------------------------------------------------------------

@@ -3,8 +3,11 @@
  * Config: the key=value parser behind the fhsim CLI.
  */
 
+#include <cstdlib>
+
 #include <gtest/gtest.h>
 
+#include "fault/campaign.hh"
 #include "sim/config.hh"
 
 using namespace fh;
@@ -64,6 +67,57 @@ TEST(Config, TypedAccessorsAndDefaults)
     EXPECT_EQ(cfg.getString("missing", "d"), "d");
     EXPECT_TRUE(cfg.getBool("missing", true));
     EXPECT_FALSE(cfg.has("missing"));
+}
+
+/** Options and environment variables share one boolean syntax. */
+TEST(Config, OneBooleanSyntax)
+{
+    for (const char *text : {"1", "true", "YES", "On"}) {
+        bool v = false;
+        EXPECT_TRUE(parseBool(text, v)) << text;
+        EXPECT_TRUE(v) << text;
+    }
+    for (const char *text : {"0", "FALSE", "no", "oFF"}) {
+        bool v = true;
+        EXPECT_TRUE(parseBool(text, v)) << text;
+        EXPECT_FALSE(v) << text;
+    }
+    for (const char *text : {"", "2", "maybe", "of", "truee", "-1"}) {
+        bool v = true;
+        EXPECT_FALSE(parseBool(text, v)) << text;
+        EXPECT_TRUE(v) << "refused text must leave the value alone";
+    }
+
+    ::unsetenv("FH_TEST_BOOL");
+    EXPECT_TRUE(envBool("FH_TEST_BOOL", true));
+    EXPECT_FALSE(envBool("FH_TEST_BOOL", false));
+    ::setenv("FH_TEST_BOOL", "off", 1);
+    EXPECT_FALSE(envBool("FH_TEST_BOOL", true));
+    ::setenv("FH_TEST_BOOL", "Yes", 1);
+    EXPECT_TRUE(envBool("FH_TEST_BOOL", false));
+    ::unsetenv("FH_TEST_BOOL");
+}
+
+/** A value that is not a boolean is refused, naming key and value —
+ *  never read as the default. */
+TEST(ConfigDeathTest, MalformedBooleanIsFatal)
+{
+    // Each death test re-runs in a fresh process, so the once-cached
+    // FH_EARLY_STOP default is parsed anew under the variable set here.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    Config cfg;
+    std::string err;
+    ASSERT_TRUE(cfg.parse("early_stop = maybe\n", err)) << err;
+    EXPECT_DEATH(cfg.getBool("early_stop", true),
+                 "option 'early_stop': 'maybe' is not a boolean");
+
+    ::setenv("FH_EARLY_STOP", "", 1);
+    EXPECT_DEATH(fault::CampaignConfig::envEarlyStop(),
+                 "FH_EARLY_STOP='' is not a boolean");
+    ::setenv("FH_EARLY_STOP", "later", 1);
+    EXPECT_DEATH(fault::CampaignConfig::envEarlyStop(),
+                 "FH_EARLY_STOP='later' is not a boolean");
+    ::unsetenv("FH_EARLY_STOP");
 }
 
 TEST(Config, UnknownKeysTracksUndeclaredUnreadKeys)

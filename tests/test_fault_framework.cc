@@ -72,8 +72,9 @@ TEST(Injector, PlansStayInRange)
     for (int i = 0; i < 2000; ++i) {
         auto plan = drawPlan(core, {}, rng);
         EXPECT_LT(plan.bit, wordBits);
-        if (plan.target == Target::RegFile)
+        if (plan.target == Target::RegFile) {
             EXPECT_LT(plan.preg, core.numPhysRegs());
+        }
         if (plan.target == Target::Rename) {
             EXPECT_LT(plan.tid, core.numThreads());
             EXPECT_GE(plan.arch, 1u);
@@ -119,8 +120,9 @@ TEST(Injector, LsqInjectionRequiresOccupancy)
     EXPECT_FALSE(apply(core, plan));
     for (int i = 0; i < 3000; ++i)
         core.tick();
-    if (core.lsqOccupied() > 0)
+    if (core.lsqOccupied() > 0) {
         EXPECT_TRUE(apply(core, plan));
+    }
 }
 
 TEST(Tandem, ForkWithoutFaultMatchesGolden)

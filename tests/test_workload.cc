@@ -67,9 +67,11 @@ TEST_P(AllBenchmarks, BuildsWithSaneStructure)
     EXPECT_EQ(prog.threadBases.size(), 2u);
     EXPECT_EQ(prog.segments.size(), 2u);
     // Branch targets must be in range.
-    for (const auto &inst : prog.text)
-        if (isa::isBranch(inst.op))
+    for (const auto &inst : prog.text) {
+        if (isa::isBranch(inst.op)) {
             EXPECT_LT(inst.target, prog.text.size());
+        }
+    }
 }
 
 TEST_P(AllBenchmarks, ThreadsRunFunctionallyInDisjointSegments)
@@ -114,8 +116,8 @@ INSTANTIATE_TEST_SUITE_P(
                     "447.dealII", "416.gamess", "437.leslie3d",
                     "apache", "specjbb", "oltp", "ocean", "raytrace",
                     "volrend", "water-nsq"),
-    [](const testing::TestParamInfo<std::string> &info) {
-        std::string n = info.param;
+    [](const testing::TestParamInfo<std::string> &param_info) {
+        std::string n = param_info.param;
         for (auto &c : n)
             if (!isalnum(static_cast<unsigned char>(c)))
                 c = '_';
