@@ -10,10 +10,6 @@
  *   FH_SEED        master seed
  *   FH_THREADS     host worker threads (default: all hardware
  *                  threads; results are bit-identical for any value)
- *   FH_JOURNAL     trial-journal path; an interrupted campaign rerun
- *                  with the same config resumes from the journal
- *                  (single-campaign harnesses only — harnesses that
- *                  run many campaign cells would contend for the file)
  *   FH_TRIAL_TIMEOUT_MS  per-trial wall-clock budget; overruns are
  *                  isolated and counted as trial errors
  *   FH_EARLY_STOP  0/false/no/off disables bare-fork early
@@ -25,11 +21,6 @@
  *   FH_CI_TARGET   adaptive stop: pooled SDC-rate Wilson CI
  *                  half-width target (default 0 = fixed-count)
  *   FH_CI_WAVE     adaptive stop wave size in trials (default 64)
- *   FH_DIST_WORKERS  bench_campaign_throughput only: add a row run
- *                  through the distributed fabric with this many
- *                  forked worker processes (coordinator in-process,
- *                  loopback socket) — measures dispatch overhead and
- *                  re-checks bit-identical classification
  *
  * The campaign-heavy harnesses additionally parallelize across their
  * independent scheme/size/benchmark cells, splitting the FH_THREADS
@@ -232,19 +223,6 @@ campaignConfig()
     cfg.trialTimeoutMs = envU64("FH_TRIAL_TIMEOUT_MS", 0);
     cfg.ciTarget = envDouble("FH_CI_TARGET", 0.0);
     cfg.ciWave = envU64("FH_CI_WAVE", 64);
-    return cfg;
-}
-
-/**
- * campaignConfig() plus FH_JOURNAL, for harnesses that run exactly
- * one campaign (the journal is keyed to one config; concurrent cells
- * would clobber each other's files).
- */
-inline fault::CampaignConfig
-campaignConfigJournaled()
-{
-    fault::CampaignConfig cfg = campaignConfig();
-    cfg.journalPath = envStr("FH_JOURNAL", "");
     return cfg;
 }
 

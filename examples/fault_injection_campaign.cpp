@@ -3,11 +3,11 @@
  * Example: run a fault-injection campaign (the Section 4 methodology)
  * on one benchmark under FaultHound, and print the classification and
  * coverage breakdown. Mirrors what bench_fig8_coverage_fp does per
- * scheme, but as a minimal, commented walkthrough of the fault API:
- *
- *   fault::drawPlan / apply    -> single-bit flips in RF/LSQ/rename
- *   fault::runFork / archEquals -> tandem golden-vs-faulty execution
- *   fault::runCampaign          -> the full masked/noisy/SDC pipeline
+ * scheme, as a minimal walkthrough of the one campaign entry point:
+ * fault::runCampaign draws the single-bit flips (RF/LSQ/rename), runs
+ * each trial's bare and protected forks against the golden ledger,
+ * and classifies it masked/noisy/SDC; fault::writeCampaignJson writes
+ * the FH_JSON record.
  */
 
 #include <chrono>

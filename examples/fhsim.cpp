@@ -21,7 +21,8 @@
  * driver actually accepts.
  *
  * Unknown keys are fatal: `injectons=5000` should refuse to run, not
- * silently run the default campaign.
+ * silently run the default campaign. So are malformed numbers:
+ * `injections=5k` is refused, not read as 5.
  *
  * SIGINT/SIGTERM stop new trials, drain the in-flight wave (dispatch
  * mode forwards the signal to every worker and drains them all),
@@ -125,10 +126,9 @@ declareAllKeys(const Config &cfg)
                    "trials per range lease; 0 = auto (~4 per worker)");
     cfg.declareKey("lease_timeout_ms",
                    "heartbeat silence before a worker's lease is "
-                   "re-issued (default 10000; env FH_LEASE_TIMEOUT_MS)");
+                   "re-issued (default 10000)");
     cfg.declareKey("heartbeat_ms",
-                   "worker liveness heartbeat period (default 300; "
-                   "env FH_HEARTBEAT_MS)");
+                   "worker liveness heartbeat period (default 300)");
     cfg.declareKey("worker_jobs",
                    "dispatch mode: fork-execution threads per worker "
                    "process (default 1)");
@@ -218,24 +218,6 @@ specFromConfig(const Config &cfg)
     spec.campaign.ciTarget = cfg.getDouble("ci_target", 0.0);
     spec.campaign.ciWave = cfg.getU64("ci_wave", 64);
     return spec;
-}
-
-/** Env-mirrored u64 default: the config key wins, then the env var,
- *  then the built-in — so chaos/slow CI hosts can retune the fabric's
- *  timing knobs fleet-wide without touching every invocation. */
-u64
-u64FromEnv(const char *env, u64 def)
-{
-    const char *v = std::getenv(env);
-    if (!v || !*v)
-        return def;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0') {
-        fh_warn("ignoring malformed %s='%s'", env, v);
-        return def;
-    }
-    return parsed;
 }
 
 std::string
@@ -410,8 +392,7 @@ coordinatorOptions(const Config &cfg, unsigned workers,
 {
     copts.workers = workers;
     copts.chunk = cfg.getU64("chunk", 0);
-    copts.leaseTimeoutMs = cfg.getU64(
-        "lease_timeout_ms", u64FromEnv("FH_LEASE_TIMEOUT_MS", 10000));
+    copts.leaseTimeoutMs = cfg.getU64("lease_timeout_ms", 10000);
     copts.progress = &meter;
     std::string error;
     if (dist::parseEndpoint(cfg.getString("listen", "127.0.0.1:0"),
@@ -482,8 +463,7 @@ cmdDispatch(int argc, char **argv)
     dist::CoordinatorOptions copts;
     if (!coordinatorOptions(cfg, jobs, meter, copts))
         return 1;
-    const u64 heartbeatMs = cfg.getU64(
-        "heartbeat_ms", u64FromEnv("FH_HEARTBEAT_MS", 300));
+    const u64 heartbeatMs = cfg.getU64("heartbeat_ms", 300);
     dist::Coordinator coord(spec, copts);
 
     const std::string exe = dist::selfExe();
@@ -589,8 +569,7 @@ cmdWorker(int argc, char **argv)
         return 1;
     }
     wopts.jobs = static_cast<unsigned>(cfg.getU64("jobs", 1));
-    wopts.heartbeatMs = cfg.getU64(
-        "heartbeat_ms", u64FromEnv("FH_HEARTBEAT_MS", 300));
+    wopts.heartbeatMs = cfg.getU64("heartbeat_ms", 300);
     return dist::runWorker(wopts);
 }
 

@@ -84,8 +84,8 @@ struct CampaignConfig
     exec::ProgressMeter *progress = nullptr;
 
     /**
-     * Trial journal path (FH_JOURNAL in the bench harnesses,
-     * `journal=` in fhsim); empty = no journal. Completed trials are
+     * Trial journal path (`journal=` or FH_JOURNAL in fhsim and the
+     * examples); empty = no journal. Completed trials are
      * appended (and flushed) in trial order; a restarted campaign
      * with the same configuration replays the journaled prefix
      * through the cheap serial master advance and skips its forks,

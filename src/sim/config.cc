@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -101,7 +103,15 @@ Config::getU64(const std::string &key, u64 def) const
     auto it = values_.find(key);
     if (it == values_.end())
         return def;
-    return std::strtoull(it->second.c_str(), nullptr, 0);
+    // Base 0 keeps hex (`seed=0x5eed`); strtoull would wrap `-1`.
+    const char *text = it->second.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 0);
+    if (end == text || *end != '\0' || errno == ERANGE || *text == '-')
+        fh_fatal("option '%s': '%s' is not an unsigned integer",
+                 key.c_str(), text);
+    return v;
 }
 
 double
@@ -111,7 +121,15 @@ Config::getDouble(const std::string &key, double def) const
     auto it = values_.find(key);
     if (it == values_.end())
         return def;
-    return std::strtod(it->second.c_str(), nullptr);
+    const char *text = it->second.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' ||
+        (errno == ERANGE && std::isinf(v)))
+        fh_fatal("option '%s': '%s' is not a number", key.c_str(),
+                 text);
+    return v;
 }
 
 bool

@@ -39,7 +39,11 @@ class Config
 
     std::string getString(const std::string &key,
                           const std::string &def = "") const;
+    /** def when unset; an empty, signed, out-of-range or partly
+     *  numeric value (`5k`) is fatal, naming key and value. */
     u64 getU64(const std::string &key, u64 def = 0) const;
+    /** def when unset; an empty, overflowing or partly numeric value
+     *  is fatal. */
     double getDouble(const std::string &key, double def = 0.0) const;
     /** def when unset; a value parseBool refuses is fatal. */
     bool getBool(const std::string &key, bool def = false) const;

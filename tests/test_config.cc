@@ -120,6 +120,45 @@ TEST(ConfigDeathTest, MalformedBooleanIsFatal)
     ::unsetenv("FH_EARLY_STOP");
 }
 
+/** Numbers are read whole: a suffix, a sign or an overflow is
+ *  refused, naming key and value — never read as a prefix (`5k` as 5)
+ *  or wrapped (`-1` as 2^64-1). Base-0 hex and %.17g doubles, the
+ *  forms CampaignSpec::encode writes, still parse. */
+TEST(ConfigDeathTest, MalformedNumberIsFatal)
+{
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    Config cfg;
+    std::string err;
+    ASSERT_TRUE(cfg.parse("seed = 0x5eed\nfrac = 0.20000000000000001\n"
+                          "tiny = 1e-05\n"
+                          "injections = 5k\nwindow = 3OO\njobs = -1\n"
+                          "chunk =\nbig = 18446744073709551616\n"
+                          "ci_target = 0.1x\nrename_frac = 1e400\n"
+                          "lsq_frac =\n",
+                          err))
+        << err;
+    EXPECT_EQ(cfg.getU64("seed"), 0x5eedu);
+    EXPECT_DOUBLE_EQ(cfg.getDouble("frac"), 0.2);
+    EXPECT_DOUBLE_EQ(cfg.getDouble("tiny"), 1e-05);
+    EXPECT_DEATH(cfg.getU64("injections", 300),
+                 "option 'injections': '5k' is not an unsigned integer");
+    EXPECT_DEATH(cfg.getU64("window", 1000),
+                 "option 'window': '3OO' is not an unsigned integer");
+    EXPECT_DEATH(cfg.getU64("jobs", 1),
+                 "option 'jobs': '-1' is not an unsigned integer");
+    EXPECT_DEATH(cfg.getU64("chunk", 0),
+                 "option 'chunk': '' is not an unsigned integer");
+    EXPECT_DEATH(cfg.getU64("big", 0),
+                 "option 'big': '18446744073709551616' is not an "
+                 "unsigned integer");
+    EXPECT_DEATH(cfg.getDouble("ci_target", 0.0),
+                 "option 'ci_target': '0.1x' is not a number");
+    EXPECT_DEATH(cfg.getDouble("rename_frac", 0.2),
+                 "option 'rename_frac': '1e400' is not a number");
+    EXPECT_DEATH(cfg.getDouble("lsq_frac", 0.08),
+                 "option 'lsq_frac': '' is not a number");
+}
+
 TEST(Config, UnknownKeysTracksUndeclaredUnreadKeys)
 {
     Config cfg;
