@@ -40,31 +40,22 @@
 #include "fault/campaign.hh"
 #include "filters/detector.hh"
 #include "pipeline/core.hh"
+#include "sim/config.hh"
 #include "sim/text_table.hh"
 #include "workload/workload.hh"
 
 namespace fh::bench
 {
 
-inline u64
-envU64(const char *name, u64 def)
-{
-    const char *v = std::getenv(name);
-    return v ? std::strtoull(v, nullptr, 0) : def;
-}
+// Numeric knobs are read whole by the one strict parser (sim/config).
+using fh::envDouble;
+using fh::envU64;
 
 inline std::string
 envStr(const char *name, const std::string &def)
 {
     const char *v = std::getenv(name);
     return v ? v : def;
-}
-
-inline double
-envDouble(const char *name, double def)
-{
-    const char *v = std::getenv(name);
-    return v ? std::strtod(v, nullptr) : def;
 }
 
 /** Worker-thread budget from FH_THREADS (unset/0 = all hardware). */

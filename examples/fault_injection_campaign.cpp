@@ -20,6 +20,7 @@
 #include "exec/thread_pool.hh"
 #include "fault/campaign.hh"
 #include "fault/campaign_json.hh"
+#include "sim/config.hh"
 #include "workload/workload.hh"
 
 using namespace fh;
@@ -31,8 +32,6 @@ main(int argc, char **argv)
     // (threads: host workers for the campaign forks; also settable
     //  via FH_THREADS; 0/unset = all hardware threads)
     const char *bench_name = argc > 1 ? argv[1] : "400.perl";
-    const char *env = std::getenv("FH_INJECTIONS");
-    const char *env_threads = std::getenv("FH_THREADS");
     const char *env_json = std::getenv("FH_JSON");
 
     workload::WorkloadSpec spec;
@@ -43,20 +42,21 @@ main(int argc, char **argv)
     params.detector = filters::DetectorParams::faultHound();
 
     fault::CampaignConfig cfg;
-    cfg.injections = env ? std::strtoull(env, nullptr, 0) : 200;
+    // Numbers are read whole (`FH_INJECTIONS=5k` is fatal, not 5).
+    cfg.injections = envU64("FH_INJECTIONS", 200);
     cfg.window = 1000; // paper: 1000-instruction run window
-    cfg.threads = static_cast<unsigned>(
-        env_threads ? std::strtoul(env_threads, nullptr, 0) : 0);
+    cfg.threads = static_cast<unsigned>(envU64("FH_THREADS", 0));
     // Resilience knobs: FH_JOURNAL names a trial journal (rerun with
     // the same config to resume an interrupted campaign), and
     // FH_TRIAL_TIMEOUT_MS bounds each trial's wall time.
     if (const char *j = std::getenv("FH_JOURNAL"))
         cfg.journalPath = j;
-    if (const char *t = std::getenv("FH_TRIAL_TIMEOUT_MS"))
-        cfg.trialTimeoutMs = std::strtoull(t, nullptr, 0);
-    if (argc > 2)
-        cfg.threads =
-            static_cast<unsigned>(std::strtoul(argv[2], nullptr, 0));
+    cfg.trialTimeoutMs = envU64("FH_TRIAL_TIMEOUT_MS", 0);
+    if (argc > 2) {
+        Config args;
+        args.set(std::string("threads=") + argv[2]);
+        cfg.threads = static_cast<unsigned>(args.getU64("threads"));
+    }
 
     std::printf("injecting %llu single-bit faults into %s "
                 "(rename 20%% / LSQ 8%% / datapath+RF 72%%) "

@@ -125,10 +125,11 @@ declareAllKeys(const Config &cfg)
     cfg.declareKey("chunk",
                    "trials per range lease; 0 = auto (~4 per worker)");
     cfg.declareKey("lease_timeout_ms",
-                   "heartbeat silence before a worker's lease is "
+                   "worker silence before its lease is "
                    "re-issued (default 10000)");
     cfg.declareKey("heartbeat_ms",
-                   "worker liveness heartbeat period (default 300)");
+                   "worker heartbeat after this much send silence "
+                   "(default 300)");
     cfg.declareKey("worker_jobs",
                    "dispatch mode: fork-execution threads per worker "
                    "process (default 1)");

@@ -119,7 +119,7 @@ Coordinator::beginShutdown()
         if (c.fd >= 0)
             sendFrame(c.fd, MsgType::Shutdown, {});
     // ...and signal-level forwarding for subprocesses that have not
-    // connected (or wedged before their receiver ran). Forward the
+    // connected (or wedged before reading it). Forward the
     // same signal we got; SIGTERM for programmatic stops.
     const int sig =
         exec::shutdownSignal() ? exec::shutdownSignal() : SIGTERM;

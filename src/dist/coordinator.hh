@@ -60,9 +60,10 @@ struct CoordinatorOptions
     unsigned workers = 1;
     /** Trials per lease; 0 = auto (~4 leases per expected worker). */
     u64 chunk = 0;
-    /** Heartbeat silence after which a worker's lease is revoked and
-     *  re-issued. Generous: heartbeats flow even while a worker
-     *  grinds one slow trial, so silence really means hung/dead. */
+    /** Silence after which a worker's lease is revoked and re-issued.
+     *  A worker heartbeats once it has sent nothing for heartbeatMs,
+     *  through warmup too, and pumps between trials: the longest
+     *  silence is about one trial, so silence means hung/dead. */
     u64 leaseTimeoutMs = 10000;
     /** After this long with work outstanding and not a single live
      *  worker, execute the remaining trials in-process (bit-identical

@@ -111,8 +111,9 @@ struct RangeDoneMsg
                        RangeDoneMsg &out);
 };
 
-/** Worker -> coordinator: periodic liveness, independent of trial
- *  completion (a worker grinding a slow fork still heartbeats). */
+/** Worker -> coordinator: liveness when the connection is quiet —
+ *  sent only after heartbeatMs without any other frame (Trial frames
+ *  already prove liveness), e.g. through session warmup. */
 struct HeartbeatMsg
 {
     u64 position = 0; ///< session position (trials advanced)

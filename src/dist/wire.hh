@@ -24,8 +24,9 @@
  * boundary after corruption.
  *
  * Endpoints are `host:port` TCP (IPv4) or `unix:/path` domain
- * sockets. All sockets are used blocking on the worker side; the
- * coordinator multiplexes non-blocking reads under poll(2).
+ * sockets. A worker sends blocking and reads with non-blocking recv
+ * from its pump; the coordinator multiplexes non-blocking reads under
+ * poll(2).
  */
 
 #ifndef FH_DIST_WIRE_HH

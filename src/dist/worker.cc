@@ -1,13 +1,11 @@
 #include "dist/worker.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <thread>
 
 #include <poll.h>
@@ -21,6 +19,7 @@
 #include "fault/campaign.hh"
 #include "fault/journal.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 
 namespace fh::dist
 {
@@ -28,131 +27,8 @@ namespace fh::dist
 namespace
 {
 
-/** Shared state between the socket threads and the session loop,
- *  scoped to ONE connection. */
-struct WorkerState
-{
-    int fd = -1;
-    std::mutex sendMu; ///< trial/heartbeat/done frames never interleave
-    std::atomic<u64> position{0};
-    std::atomic<bool> done{false};
-    /** This connection is gone (EOF, corrupt stream, stalled frame, or
-     *  failed send). Latched per-connection — unlike the global
-     *  shutdown flag, it permits a reconnect. The session aborts on it
-     *  via CampaignConfig::abortFlag. */
-    std::atomic<bool> connDead{false};
-
-    std::mutex qMu;
-    std::condition_variable qCv;
-    std::deque<Frame> inbox;
-    bool eof = false;
-
-    void push(Frame f)
-    {
-        {
-            std::lock_guard<std::mutex> lk(qMu);
-            inbox.push_back(std::move(f));
-        }
-        qCv.notify_all();
-    }
-
-    void markEof()
-    {
-        {
-            std::lock_guard<std::mutex> lk(qMu);
-            eof = true;
-        }
-        qCv.notify_all();
-    }
-};
-
-/**
- * Socket reads -> inbox, under poll so a partial frame that stops
- * making progress can be timed out (see WorkerOptions::stallTimeoutMs).
- * A Shutdown frame latches the process shutdown flag immediately so
- * the session's stop checks fire mid-range. EOF / corruption latch
- * only connDead: the coordinator may be restarting, and the outer
- * reconnect loop decides whether to re-dial.
- */
-void
-receiverLoop(WorkerState &st, u64 stallTimeoutMs)
-{
-    using Clock = std::chrono::steady_clock;
-    FrameReader reader;
-    u8 buf[4096];
-    bool stalled = false;
-    Clock::time_point stallStart{};
-    while (true) {
-        pollfd pfd{st.fd, POLLIN, 0};
-        const int pr = ::poll(&pfd, 1, 100);
-        if (pr < 0 && errno != EINTR)
-            break;
-        if (st.done.load(std::memory_order_relaxed))
-            break;
-        if (pr > 0) {
-            const ssize_t n = ::recv(st.fd, buf, sizeof(buf), 0);
-            if (n <= 0)
-                break;
-            reader.feed(buf, static_cast<size_t>(n));
-            Frame f;
-            while (reader.next(f)) {
-                if (static_cast<MsgType>(f.type) == MsgType::Shutdown)
-                    exec::requestShutdown();
-                st.push(std::move(f));
-            }
-            if (reader.corrupt()) {
-                fh_warn("worker: coordinator stream corrupt "
-                        "(%llu crc error(s)); dropping connection",
-                        static_cast<unsigned long long>(
-                            reader.crcErrors()));
-                break;
-            }
-        }
-        // Stall watchdog: a partial frame that never completes (e.g. a
-        // flipped length field promising bytes that never come) would
-        // otherwise hang here forever while our heartbeats keep the
-        // lease alive on the coordinator.
-        if (reader.pendingBytes() > 0) {
-            const auto now = Clock::now();
-            if (!stalled) {
-                stalled = true;
-                stallStart = now;
-            } else if (std::chrono::duration_cast<
-                           std::chrono::milliseconds>(now - stallStart)
-                           .count() >=
-                       static_cast<long long>(stallTimeoutMs)) {
-                fh_warn("worker: partial frame stalled %llu ms; "
-                        "dropping connection",
-                        static_cast<unsigned long long>(
-                            stallTimeoutMs));
-                break;
-            }
-        } else {
-            stalled = false;
-        }
-    }
-    st.connDead.store(true, std::memory_order_relaxed);
-    st.markEof();
-}
-
-void
-heartbeatLoop(WorkerState &st, u64 periodMs)
-{
-    while (!st.done.load(std::memory_order_relaxed) &&
-           !st.connDead.load(std::memory_order_relaxed)) {
-        {
-            std::lock_guard<std::mutex> lk(st.sendMu);
-            HeartbeatMsg hb;
-            hb.position = st.position.load(std::memory_order_relaxed);
-            if (!sendFrame(st.fd, MsgType::Heartbeat, hb.encode())) {
-                st.connDead.store(true, std::memory_order_relaxed);
-                break;
-            }
-        }
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(periodMs));
-    }
-}
+using Clock = std::chrono::steady_clock;
+using Ms = std::chrono::milliseconds;
 
 enum class ConnOutcome
 {
@@ -162,116 +38,240 @@ enum class ConnOutcome
 };
 
 /**
- * One connection's lifetime: dial, Hello/HelloAck, then serve leases
- * until shutdown or the connection dies. `progressed` is set once a
- * Spec or Assign arrives, resetting the caller's reconnect budget.
+ * One worker process: the current connection plus the campaign
+ * session, which outlives connections. Everything runs on the calling
+ * thread; the session reaches the socket through its abort poll
+ * (CampaignConfig::abortCheck), which is pump().
  */
-ConnOutcome
-runConnection(const WorkerOptions &opts, u32 reconnect,
-              bool &progressed)
+class Worker
 {
-    WorkerState st;
+  public:
+    explicit Worker(const WorkerOptions &opts) : opts_(opts) {}
+    Worker(const Worker &) = delete; // the session's poll holds `this`
+    Worker &operator=(const Worker &) = delete;
+
+    /**
+     * One connection's lifetime: dial, Hello/HelloAck, then serve
+     * leases until shutdown or the connection dies. `progressed` is
+     * set once a Spec or Assign arrives, resetting the caller's
+     * reconnect budget.
+     */
+    ConnOutcome runConnection(u32 reconnect, bool &progressed);
+
+  private:
+    /**
+     * All of the connection's socket work, never blocking: drain the
+     * socket into queued frames (a Shutdown also latches the process
+     * shutdown flag at once, so the session's gap check drains a
+     * range mid-way); time out a partial frame that never completes;
+     * heartbeat once nothing has been sent for heartbeatMs. True once
+     * the connection is dead.
+     */
+    bool pump();
+    /** Send one frame; a failed send marks the connection dead. */
+    void send(MsgType type, const std::vector<u8> &payload)
+    {
+        if (conn_.dead)
+            return;
+        conn_.dead = !sendFrame(conn_.fd, type, payload);
+        conn_.lastSend = Clock::now();
+    }
+    bool applySpec(const std::string &specText);
+    void serveLease(const AssignMsg &a);
+
+    const WorkerOptions &opts_;
+
+    struct Conn
+    {
+        int fd = -1;
+        bool dead = false;
+        FrameReader reader;
+        std::deque<Frame> inbox;
+        Clock::time_point lastSend = Clock::now();
+        /** When the pending partial frame was first seen. */
+        std::optional<Clock::time_point> partialSince;
+    } conn_;
+
+    // Kept across reconnects, so a re-dial skips warmup. cfg.threads
+    // is host-local; everything deterministic comes from the spec.
+    std::string specText_;
+    std::unique_ptr<isa::Program> prog_;
+    pipeline::CoreParams params_;
+    fault::CampaignConfig ccfg_;
+    std::unique_ptr<fault::CampaignSession> session_;
+    /** The last range stopped early: its terminal drain advanced the
+     *  real master off the schedule, so the next lease rewinds. */
+    bool rewindNeeded_ = false;
+};
+
+bool
+Worker::pump()
+{
+    if (conn_.dead)
+        return true;
+    u8 buf[4096];
+    ssize_t n;
+    while ((n = ::recv(conn_.fd, buf, sizeof(buf), MSG_DONTWAIT)) > 0 ||
+           (n < 0 && errno == EINTR)) {
+        if (n > 0)
+            conn_.reader.feed(buf, static_cast<size_t>(n));
+    }
+    // EOF or a hard error: the coordinator may be restarting, and
+    // runWorker decides whether to re-dial.
+    conn_.dead = !(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK));
+    Frame f;
+    while (conn_.reader.next(f)) {
+        if (static_cast<MsgType>(f.type) == MsgType::Shutdown)
+            exec::requestShutdown();
+        conn_.inbox.push_back(std::move(f));
+    }
+    if (conn_.reader.corrupt()) {
+        fh_warn("worker: coordinator stream corrupt (%llu crc "
+                "error(s)); dropping connection",
+                static_cast<unsigned long long>(
+                    conn_.reader.crcErrors()));
+        conn_.dead = true;
+    }
+    // Stall watchdog: a partial frame that never completes (e.g. a
+    // flipped length field promising bytes that never come) would
+    // otherwise wait forever while our heartbeats keep the lease
+    // alive on the coordinator.
+    const auto now = Clock::now();
+    if (conn_.reader.pendingBytes() == 0) {
+        conn_.partialSince.reset();
+    } else if (!conn_.partialSince) {
+        conn_.partialSince = now;
+    } else if (now - *conn_.partialSince >= Ms(opts_.stallTimeoutMs)) {
+        fh_warn("worker: partial frame stalled %llu ms; dropping "
+                "connection",
+                static_cast<unsigned long long>(opts_.stallTimeoutMs));
+        conn_.dead = true;
+    }
+    // Trial frames already prove liveness: heartbeat only when quiet.
+    if (now - conn_.lastSend >= Ms(opts_.heartbeatMs)) {
+        HeartbeatMsg hb;
+        hb.position = session_ ? session_->position() : 0;
+        send(MsgType::Heartbeat, hb.encode());
+    }
+    return conn_.dead;
+}
+
+/** Rebuild the session inputs unless specText is the spec they were
+ *  built from. */
+bool
+Worker::applySpec(const std::string &specText)
+{
+    if (prog_ && specText == specText_)
+        return true;
+    CampaignSpec spec;
     std::string error;
-    st.fd = connectTo(opts.endpoint, error);
-    if (st.fd < 0) {
+    if (!CampaignSpec::decode(specText, spec, error)) {
+        fh_warn("worker: bad campaign spec: %s", error.c_str());
+        return false;
+    }
+    session_.reset(); // it points at prog_
+    prog_ = std::make_unique<isa::Program>(spec.buildProgram());
+    params_ = spec.buildParams();
+    ccfg_ = spec.campaign;
+    ccfg_.threads = opts_.jobs;
+    ccfg_.abortCheck = [this] { return pump(); };
+    specText_ = specText;
+    rewindNeeded_ = false;
+    return true;
+}
+
+/**
+ * Run one lease, streaming its trials. The session is built on the
+ * first lease (its warmup pumps the socket, so the lease stays alive
+ * through it); a lease behind its position, or any lease after a
+ * stopped range, rewinds it to the post-warmup snapshot instead —
+ * ranges must be visited forward within one pass.
+ */
+void
+Worker::serveLease(const AssignMsg &a)
+{
+    if (!session_)
+        session_ = std::make_unique<fault::CampaignSession>(
+            params_, prog_.get(), ccfg_);
+    else if (rewindNeeded_ || a.begin < session_->position())
+        session_->rewind();
+    const fault::RangeOutcome out = session_->runRange(
+        a.begin, a.end,
+        [this](u64 trial, const fault::CampaignResult &delta,
+               const fault::TrialMeta &meta) {
+            TrialMsg t;
+            t.trial = trial;
+            fault::packTrialCounters(delta, t.d);
+            fault::packTrialMeta(meta, t.m);
+            send(MsgType::Trial, t.encode());
+        });
+    rewindNeeded_ = out.stopped;
+    RangeDoneMsg done;
+    done.nextTrial = out.nextTrial;
+    done.halted = out.halted;
+    done.stopped = out.stopped;
+    send(MsgType::RangeDone, done.encode());
+}
+
+ConnOutcome
+Worker::runConnection(u32 reconnect, bool &progressed)
+{
+    std::string error;
+    conn_ = Conn{};
+    conn_.fd = connectTo(opts_.endpoint, error);
+    if (conn_.fd < 0) {
         fh_warn("worker: %s", error.c_str());
         return exec::shutdownRequested() ? ConnOutcome::CleanShutdown
                                          : ConnOutcome::Lost;
     }
+    HelloMsg hello;
+    hello.pid = static_cast<u64>(::getpid());
+    hello.reconnect = reconnect;
+    send(MsgType::Hello, hello.encode());
 
-    {
-        HelloMsg hello;
-        hello.pid = static_cast<u64>(::getpid());
-        hello.reconnect = reconnect;
-        std::lock_guard<std::mutex> lk(st.sendMu);
-        if (!sendFrame(st.fd, MsgType::Hello, hello.encode())) {
-            closeFabricFd(st.fd);
-            return ConnOutcome::Lost;
-        }
-    }
-
-    std::thread receiver(
-        [&st, &opts] { receiverLoop(st, opts.stallTimeoutMs); });
-    std::thread heartbeat(
-        [&st, &opts] { heartbeatLoop(st, opts.heartbeatMs); });
-
-    // The session is built from the Spec frame once per connection; a
-    // stolen (re-issued) lease behind the current position rewinds it
-    // to the post-warmup snapshot instead of re-running warmup —
-    // ranges must be visited forward within one pass. cfg.threads is
-    // host-local; everything deterministic comes from the spec.
-    CampaignSpec spec;
     bool haveSpec = false;
     bool acked = false;
-    std::unique_ptr<isa::Program> prog;
-    pipeline::CoreParams params;
-    fault::CampaignConfig ccfg;
-    std::unique_ptr<fault::CampaignSession> session;
-
     ConnOutcome outcome = ConnOutcome::Lost;
-    while (true) {
-        Frame f;
-        {
-            // Timed wait: a signal delivered straight to an idle
-            // worker (process-group ^C) latches the flag without
-            // notifying the cv, so poll it.
-            std::unique_lock<std::mutex> lk(st.qMu);
-            st.qCv.wait_for(lk, std::chrono::milliseconds(100),
-                            [&st] {
-                                return !st.inbox.empty() || st.eof;
-                            });
-            if (st.inbox.empty()) {
-                if (exec::shutdownRequested()) {
-                    outcome = ConnOutcome::CleanShutdown;
-                    break;
-                }
-                if (st.eof)
-                    break; // outcome stays Lost
-                continue;
+    while (outcome == ConnOutcome::Lost) {
+        if (conn_.inbox.empty()) {
+            if (exec::shutdownRequested()) {
+                outcome = ConnOutcome::CleanShutdown;
+                break;
             }
-            f = std::move(st.inbox.front());
-            st.inbox.pop_front();
+            if (conn_.dead)
+                break; // outcome stays Lost
+            // Wake on input, or in time for the next heartbeat; a
+            // signal (process-group ^C) interrupts the poll.
+            pollfd pfd{conn_.fd, POLLIN, 0};
+            ::poll(&pfd, 1,
+                   static_cast<int>(
+                       std::clamp<u64>(opts_.heartbeatMs, 1, 100)));
+            pump();
+            continue;
         }
+        const Frame f = std::move(conn_.inbox.front());
+        conn_.inbox.pop_front();
 
         switch (static_cast<MsgType>(f.type)) {
         case MsgType::HelloAck: {
             HelloAckMsg ack;
             if (!HelloAckMsg::decode(f.payload, ack)) {
                 fh_warn("worker: bad hello-ack frame");
-                outcome = ConnOutcome::Lost;
+                conn_.dead = true;
             } else if (!ack.accepted) {
                 fh_warn("worker: coordinator rejected protocol "
                         "version %u (wants %u); exiting",
                         kProtocolVersion, ack.version);
                 outcome = ConnOutcome::Fatal;
-            } else {
-                acked = true;
-                break;
             }
-            st.done.store(true, std::memory_order_relaxed);
-            ::shutdown(st.fd, SHUT_RDWR);
-            receiver.join();
-            heartbeat.join();
-            closeFabricFd(st.fd);
-            return outcome;
+            acked = true;
+            break;
         }
         case MsgType::Spec: {
             SpecMsg msg;
             if (!SpecMsg::decode(f.payload, msg) ||
-                !CampaignSpec::decode(msg.text, spec, error)) {
-                fh_warn("worker: bad campaign spec: %s", error.c_str());
-                st.done.store(true, std::memory_order_relaxed);
-                ::shutdown(st.fd, SHUT_RDWR);
-                receiver.join();
-                heartbeat.join();
-                closeFabricFd(st.fd);
-                return ConnOutcome::Fatal;
-            }
-            prog = std::make_unique<isa::Program>(spec.buildProgram());
-            params = spec.buildParams();
-            ccfg = spec.campaign;
-            ccfg.threads = opts.jobs;
-            ccfg.abortFlag = &st.connDead;
+                !applySpec(msg.text))
+                outcome = ConnOutcome::Fatal;
             haveSpec = true;
             progressed = true;
             break;
@@ -281,92 +281,33 @@ runConnection(const WorkerOptions &opts, u32 reconnect,
             if (!AssignMsg::decode(f.payload, a) || !haveSpec ||
                 !acked) {
                 fh_warn("worker: bad assign frame");
-                st.connDead.store(true, std::memory_order_relaxed);
+                conn_.dead = true;
                 break;
             }
             progressed = true;
-            if (!session) {
-                session = std::make_unique<fault::CampaignSession>(
-                    params, prog.get(), ccfg);
-                st.position.store(0, std::memory_order_relaxed);
-            } else if (a.begin < session->position()) {
-                session->rewind();
-                st.position.store(0, std::memory_order_relaxed);
-            }
-            fault::RangeOutcome out = session->runRange(
-                a.begin, a.end,
-                [&](u64 trial, const fault::CampaignResult &delta,
-                    const fault::TrialMeta &meta) {
-                    TrialMsg t;
-                    t.trial = trial;
-                    fault::packTrialCounters(delta, t.d);
-                    fault::packTrialMeta(meta, t.m);
-                    std::lock_guard<std::mutex> lk(st.sendMu);
-                    if (!sendFrame(st.fd, MsgType::Trial, t.encode()))
-                        st.connDead.store(true,
-                                          std::memory_order_relaxed);
-                    st.position.store(trial + 1,
-                                      std::memory_order_relaxed);
-                });
-            if (!st.connDead.load(std::memory_order_relaxed)) {
-                RangeDoneMsg doneMsg;
-                doneMsg.nextTrial = out.nextTrial;
-                doneMsg.halted = out.halted;
-                doneMsg.stopped = out.stopped;
-                std::lock_guard<std::mutex> lk(st.sendMu);
-                if (!sendFrame(st.fd, MsgType::RangeDone,
-                               doneMsg.encode()))
-                    st.connDead.store(true,
-                                      std::memory_order_relaxed);
-            }
+            if (!conn_.dead) // else the lease is re-issued elsewhere
+                serveLease(a);
             break;
         }
         case MsgType::Shutdown:
-            // The receiver already latched the flag; just fall out.
-            break;
+            break; // pump() already latched the flag
         default:
             fh_warn("worker: unexpected frame type %u",
                     static_cast<unsigned>(f.type));
             break;
         }
-
-        if (exec::shutdownRequested()) {
-            std::lock_guard<std::mutex> lk(st.qMu);
-            if (st.inbox.empty()) {
-                outcome = ConnOutcome::CleanShutdown;
-                break;
-            }
-        }
     }
-
-    st.done.store(true, std::memory_order_relaxed);
-    // Unblock the receiver's poll/recv and stop further sends.
-    ::shutdown(st.fd, SHUT_RDWR);
-    receiver.join();
-    heartbeat.join();
-    closeFabricFd(st.fd);
+    closeFabricFd(conn_.fd);
     return outcome;
-}
-
-/** splitmix64, for backoff jitter — cheap and dependency-free. */
-u64
-jitterMix(u64 x)
-{
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
 }
 
 /** Interruptible sleep: returns early once shutdown is requested. */
 void
 sleepMs(u64 ms)
 {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(ms);
-    while (!exec::shutdownRequested() &&
-           std::chrono::steady_clock::now() < deadline)
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const auto deadline = Clock::now() + Ms(ms);
+    while (!exec::shutdownRequested() && Clock::now() < deadline)
+        std::this_thread::sleep_for(Ms(20));
 }
 
 } // namespace
@@ -380,15 +321,15 @@ runWorker(const WorkerOptions &opts)
     // Decorrelated jitter (sleep ~ uniform(base, prev*3), capped):
     // reconnecting workers spread out instead of thundering back into
     // a restarting coordinator in lockstep.
+    Worker worker(opts);
     u64 prevSleepMs = opts.backoffBaseMs;
-    u64 jitterState =
-        static_cast<u64>(::getpid()) * 0x9E3779B97F4A7C15ull;
+    Rng jitter(static_cast<u64>(::getpid()));
     unsigned attempts = 0;
     u32 reconnects = 0;
     while (true) {
         bool progressed = false;
         const ConnOutcome out =
-            runConnection(opts, reconnects, progressed);
+            worker.runConnection(reconnects, progressed);
         if (out == ConnOutcome::CleanShutdown)
             return 0;
         if (out == ConnOutcome::Fatal)
@@ -403,11 +344,10 @@ runWorker(const WorkerOptions &opts)
                     opts.maxReconnects);
             return 1;
         }
-        jitterState = jitterMix(jitterState);
         const u64 lo = opts.backoffBaseMs;
         const u64 hi = std::max<u64>(lo + 1, prevSleepMs * 3);
         const u64 sleep =
-            std::min(opts.backoffCapMs, lo + jitterState % (hi - lo));
+            std::min(opts.backoffCapMs, jitter.range(lo, hi - 1));
         fh_warn("worker: connection lost; reconnect %u in %llu ms",
                 reconnects + 1,
                 static_cast<unsigned long long>(sleep));

@@ -4,20 +4,22 @@
  * spec, and executes leased trial ranges through a CampaignSession,
  * streaming each completed trial's counter deltas back in trial order.
  *
- * Threads (per connection): the main thread runs the session (and owns
- * the socket for ordered sends); a receiver thread polls the socket so
- * a Shutdown frame latches the process shutdown flag even mid-range —
- * the session's own stop checks then drain the range; a heartbeat
- * thread proves liveness independently of trial completion, so a
- * worker grinding one slow fork is distinguishable from a hung one.
- * All sends go through one mutex: frames never interleave.
+ * One thread (plus the session's fork pool when jobs > 1): all socket
+ * I/O runs on the session thread through one non-blocking pump, which
+ * is the session's abort poll (CampaignConfig::abortCheck) — called
+ * per gap, between trials and through warmup — and runs after each
+ * poll(2) wake between leases. It queues incoming frames (a Shutdown
+ * latches the process shutdown flag at once), times out a stalled
+ * partial frame, and heartbeats only when nothing has been sent for
+ * heartbeatMs: Trial frames already prove liveness.
  *
- * Connection loss is not fatal: EOF, a corrupt/CRC-failed stream, or a
- * stalled partial frame kill only the *session* (via
- * CampaignConfig::abortFlag), and the worker re-dials the coordinator
- * with exponentially backed-off, decorrelated-jitter delays, starting
- * a fresh session on the new connection. Because every trial is a pure
- * function of (spec, trial index), re-executing a lease after a
+ * Connection loss is not fatal: EOF, a corrupt/CRC-failed stream, a
+ * stalled partial frame or a failed send stop only the current range,
+ * and the worker re-dials with exponentially backed-off,
+ * decorrelated-jitter delays. The session survives: a byte-equal Spec
+ * keeps it, rewound to its post-warmup snapshot when a lease starts
+ * behind it or the last range stopped early. Every trial is a pure
+ * function of (spec, trial index), so re-executing a lease after a
  * reconnect is harmless — the coordinator's merge discards duplicates.
  * Only a Shutdown frame, a local signal, or an explicit version
  * rejection (HelloAck) ends the worker.
@@ -37,6 +39,8 @@ struct WorkerOptions
     /** Host threads for the per-trial forks (CampaignConfig::threads);
      *  0 = one per hardware thread. */
     unsigned jobs = 1;
+    /** Send a Heartbeat once the connection has carried nothing for
+     *  this long; busy workers' Trial frames make most unnecessary. */
     u64 heartbeatMs = 300;
 
     /**

@@ -395,9 +395,11 @@ struct CampaignSession::Impl
                      master.memory().segmentCount());
 
         // Warm up caches, predictors and filters.
+        u64 ticks = 0;
         while (master.committedTotal() < cfg.warmupInsts &&
                !master.allHalted()) {
             master.tick();
+            pollEvery(++ticks);
         }
         if (master.allHalted())
             fh_fatal("workload '%s' halted during warmup; "
@@ -421,9 +423,16 @@ struct CampaignSession::Impl
     bool stopRequested() const
     {
         return exec::shutdownRequested() ||
-               (cfg.abortFlag &&
-                cfg.abortFlag->load(std::memory_order_relaxed)) ||
+               (cfg.abortCheck && cfg.abortCheck()) ||
                (cfg.stopAfterTrials && executed >= cfg.stopAfterTrials);
+    }
+
+    /** Abort poll from loops that cannot stop (warmup, drain). */
+    static constexpr u64 kPollTicks = 2048;
+    void pollEvery(u64 ticks) const
+    {
+        if (ticks % kPollTicks == 0 && cfg.abortCheck)
+            cfg.abortCheck();
     }
 
     /** Advance the master over one inter-injection gap; true if it ran
@@ -579,6 +588,9 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
                     return runTrial(params, cfg, t,
                                     ledger->entry(wave[k].slot), fs, dl);
                 });
+            // The session's own thread polls between its items.
+            if (cfg.abortCheck && exec::ThreadPool::currentWorker() == 0)
+                cfg.abortCheck();
         });
         // Merge — and sink — in trial (production) order:
         // bit-identical for any worker count. Ledger slots and trial
@@ -685,7 +697,7 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
         while (!ledger->complete(inflight.back().slot) &&
                !drainee->allHalted() && drained < cfg.forkMaxCycles) {
             drainee->tick();
-            ++drained;
+            pollEvery(++drained);
         }
         if (!ledger->complete(inflight.back().slot))
             ledger->forceFinalizeAll(); // hung master; see GoldenLedger

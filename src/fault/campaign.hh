@@ -28,7 +28,6 @@
 #ifndef FH_FAULT_CAMPAIGN_HH
 #define FH_FAULT_CAMPAIGN_HH
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -160,16 +159,20 @@ struct CampaignConfig
     u64 ciWave = 64;
 
     /**
-     * Host-local abort line (never part of a campaign spec, like
-     * threads/progress): when non-null and set, the campaign behaves
-     * exactly as if a shutdown signal arrived — drain in-flight
-     * trials, flush, return a partial result. The dist worker points
-     * this at its per-connection "connection lost" latch so losing the
-     * coordinator aborts only the current session, not the process
-     * (the global exec::requestShutdown latch would preclude
-     * reconnecting).
+     * Host-local abort poll (never part of a campaign spec, like
+     * threads/progress); may be empty. A session calls it once per
+     * gap, between wave items on the pool's calling thread, and every
+     * few thousand master ticks of warmup and of a range's drain, so
+     * the caller can do periodic host work on the session's own
+     * thread while it computes: the dist worker pumps its socket
+     * here. A true answer at a gap behaves exactly as if a shutdown
+     * signal arrived (drain in-flight trials, flush, return a partial
+     * result); elsewhere the answer waits for the next gap. The dist
+     * worker answers "connection lost", so losing the coordinator
+     * stops only the current range, not the process (the global
+     * exec::requestShutdown latch would preclude reconnecting).
      */
-    const std::atomic<bool> *abortFlag = nullptr;
+    std::function<bool()> abortCheck;
 };
 
 /**

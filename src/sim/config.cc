@@ -96,22 +96,45 @@ Config::getString(const std::string &key, const std::string &def) const
     return it == values_.end() ? def : it->second;
 }
 
+namespace
+{
+
+/** The whole text as an unsigned integer, else fatal after `what`.
+ *  Base 0 keeps hex (`seed=0x5eed`); strtoull alone would wrap `-1`. */
+u64
+strictU64(const char *text, const std::string &what)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 0);
+    if (end == text || *end != '\0' || errno == ERANGE || *text == '-')
+        fh_fatal("%s'%s' is not an unsigned integer", what.c_str(), text);
+    return v;
+}
+
+/** The whole text as a non-overflowing double, else fatal. */
+double
+strictDouble(const char *text, const std::string &what)
+{
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' ||
+        (errno == ERANGE && std::isinf(v)))
+        fh_fatal("%s'%s' is not a number", what.c_str(), text);
+    return v;
+}
+
+} // namespace
+
 u64
 Config::getU64(const std::string &key, u64 def) const
 {
     declareKey(key);
     auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    // Base 0 keeps hex (`seed=0x5eed`); strtoull would wrap `-1`.
-    const char *text = it->second.c_str();
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text, &end, 0);
-    if (end == text || *end != '\0' || errno == ERANGE || *text == '-')
-        fh_fatal("option '%s': '%s' is not an unsigned integer",
-                 key.c_str(), text);
-    return v;
+    return it == values_.end()
+               ? def
+               : strictU64(it->second.c_str(), "option '" + key + "': ");
 }
 
 double
@@ -119,17 +142,10 @@ Config::getDouble(const std::string &key, double def) const
 {
     declareKey(key);
     auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    const char *text = it->second.c_str();
-    char *end = nullptr;
-    errno = 0;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' ||
-        (errno == ERANGE && std::isinf(v)))
-        fh_fatal("option '%s': '%s' is not a number", key.c_str(),
-                 text);
-    return v;
+    return it == values_.end()
+               ? def
+               : strictDouble(it->second.c_str(),
+                              "option '" + key + "': ");
 }
 
 bool
@@ -205,6 +221,20 @@ envBool(const char *name, bool def)
                  "0/false/no/off)",
                  name, v);
     return out;
+}
+
+u64
+envU64(const char *name, u64 def)
+{
+    const char *v = std::getenv(name);
+    return v ? strictU64(v, std::string(name) + "=") : def;
+}
+
+double
+envDouble(const char *name, double def)
+{
+    const char *v = std::getenv(name);
+    return v ? strictDouble(v, std::string(name) + "=") : def;
 }
 
 } // namespace fh

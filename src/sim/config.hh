@@ -104,6 +104,12 @@ bool parseBool(std::string text, bool &out);
  *  parseBool refuses is fatal, naming the variable and the value. */
 bool envBool(const char *name, bool def);
 
+/** Environment variable as a number, read whole like
+ *  Config::getU64/getDouble: def when unset; a value they would
+ *  refuse (`5k`, `-1`, empty) is fatal, naming variable and value. */
+u64 envU64(const char *name, u64 def);
+double envDouble(const char *name, double def);
+
 } // namespace fh
 
 #endif // FH_SIM_CONFIG_HH

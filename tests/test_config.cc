@@ -157,6 +157,21 @@ TEST(ConfigDeathTest, MalformedNumberIsFatal)
                  "option 'rename_frac': '1e400' is not a number");
     EXPECT_DEATH(cfg.getDouble("lsq_frac", 0.08),
                  "option 'lsq_frac': '' is not a number");
+
+    // Environment numbers share the parse (bench harnesses, examples).
+    ::unsetenv("FH_TEST_NUM");
+    EXPECT_EQ(envU64("FH_TEST_NUM", 7), 7u);
+    ::setenv("FH_TEST_NUM", "0x5eed", 1);
+    EXPECT_EQ(envU64("FH_TEST_NUM", 7), 0x5eedu);
+    ::setenv("FH_TEST_NUM", "0.125", 1);
+    EXPECT_DOUBLE_EQ(envDouble("FH_TEST_NUM", 0.0), 0.125);
+    ::setenv("FH_TEST_NUM", "5k", 1);
+    EXPECT_DEATH(envU64("FH_TEST_NUM", 200),
+                 "FH_TEST_NUM='5k' is not an unsigned integer");
+    ::setenv("FH_TEST_NUM", "0.1x", 1);
+    EXPECT_DEATH(envDouble("FH_TEST_NUM", 0.0),
+                 "FH_TEST_NUM='0.1x' is not a number");
+    ::unsetenv("FH_TEST_NUM");
 }
 
 TEST(Config, UnknownKeysTracksUndeclaredUnreadKeys)

@@ -5,12 +5,15 @@
  * workers (counters AND journal bytes vs a single-process run),
  * elastic re-issue after a worker is SIGKILLed mid-lease (with a torn
  * trial frame on the wire), lease-timeout revocation of a hung
- * worker, deterministic early-halt agreement, and the shutdown-drain
- * -> journal-resume contract.
+ * worker, a slow warmup that keeps its lease, deterministic
+ * early-halt agreement, and the shutdown-drain -> journal-resume
+ * contract.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -357,6 +360,66 @@ TEST(Dist, HungWorkerLeaseTimesOutAndReissues)
     expectIdentical(ref, r);
     EXPECT_EQ(coord.stats().workersDied, 1u);
     EXPECT_GE(coord.stats().rangesReissued, 1u);
+}
+
+/** singleProcess without a journal, through the session directly so
+ *  its construction (warmup) can be timed: returns it in ms. */
+double
+timedSingleProcess(const dist::CampaignSpec &spec,
+                   fault::CampaignResult &out)
+{
+    const isa::Program prog = spec.buildProgram();
+    fault::CampaignConfig cfg = spec.campaign;
+    cfg.threads = 1;
+    const auto t0 = std::chrono::steady_clock::now();
+    fault::CampaignSession session(spec.buildParams(), &prog, cfg);
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    fault::TrialMerge merge(cfg, nullptr, nullptr);
+    merge.drive(session);
+    out = merge.result();
+    return ms;
+}
+
+/**
+ * Session construction (warmup) runs after the first Assign, with the
+ * lease clock already running. A worker whose warmup outlasts the
+ * lease timeout several times over must keep its lease through it:
+ * the warmup loop calls the campaign's abort poll, which pumps the
+ * socket and heartbeats while the master warms up.
+ */
+TEST(Dist, SlowWarmupKeepsLease)
+{
+    constexpr double kLeaseTimeoutMs = 100;
+    dist::CampaignSpec spec = testSpec();
+    fault::CampaignResult ref;
+
+    // Size the warmup to this build's speed (sanitizers tick the
+    // master tens of times slower): aim at ~10 lease timeouts, so the
+    // premise below holds with room for host load.
+    spec.campaign.warmupInsts = 100000;
+    const double baseMs = timedSingleProcess(spec, ref);
+    spec.campaign.warmupInsts = static_cast<u64>(
+        static_cast<double>(spec.campaign.warmupInsts) *
+        (10 * kLeaseTimeoutMs) / std::max(baseMs, 1.0));
+    const double ms = timedSingleProcess(spec, ref);
+    std::printf("warmup %llu insts: session construction %.0f ms\n",
+                static_cast<unsigned long long>(
+                    spec.campaign.warmupInsts),
+                ms);
+    std::fflush(stdout); // before the worker fork copies the buffer
+    ASSERT_GE(ms, 3 * kLeaseTimeoutMs)
+        << "warmup too short to outlast the lease timeout";
+
+    dist::CoordinatorOptions opts;
+    opts.workers = 1;
+    opts.leaseTimeoutMs = static_cast<u64>(kLeaseTimeoutMs);
+    const DistRun run = runDistributed(spec, 1, opts);
+    expectIdentical(ref, run.result);
+    EXPECT_FALSE(run.result.partial);
+    EXPECT_EQ(run.stats.workersDied, 0u);
+    EXPECT_EQ(run.stats.rangesReissued, 0u);
 }
 
 TEST(Dist, EarlyHaltAgreesWithSingleProcess)

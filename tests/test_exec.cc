@@ -18,6 +18,7 @@
 #include "exec/progress.hh"
 #include "exec/thread_pool.hh"
 #include "fault/campaign.hh"
+#include "sim/config.hh"
 #include "workload/workload.hh"
 
 using namespace fh;
@@ -213,9 +214,8 @@ TEST(CampaignParallel, EnvThreadsMatchesSerial)
 {
     // CI runs this binary under FH_THREADS=1 and FH_THREADS=4; the
     // campaign must agree with the serial reference either way.
-    const char *env = std::getenv("FH_THREADS");
-    const unsigned env_threads = static_cast<unsigned>(
-        env ? std::strtoul(env, nullptr, 0) : 0);
+    const unsigned env_threads =
+        static_cast<unsigned>(envU64("FH_THREADS", 0));
 
     auto program = prog();
     fault::CampaignConfig cfg;
