@@ -414,7 +414,8 @@ runCoordinator(const Config &cfg, dist::Coordinator &coord,
     if (!ccfg.journalPath.empty())
         journal = std::make_unique<fault::TrialJournal>(
             ccfg.journalPath, ccfg,
-            filters::to_string(spec.buildParams().detector.scheme));
+            fault::journalIdentity(spec.buildParams(),
+                                   spec.buildProgram()));
 
     const auto t0 = std::chrono::steady_clock::now();
     fault::CampaignResult r = coord.run(journal.get());

@@ -99,9 +99,6 @@ class Worker
     pipeline::CoreParams params_;
     fault::CampaignConfig ccfg_;
     std::unique_ptr<fault::CampaignSession> session_;
-    /** The last range stopped early: its terminal drain advanced the
-     *  real master off the schedule, so the next lease rewinds. */
-    bool rewindNeeded_ = false;
 };
 
 bool
@@ -176,25 +173,25 @@ Worker::applySpec(const std::string &specText)
     ccfg_.threads = opts_.jobs;
     ccfg_.abortCheck = [this] { return pump(); };
     specText_ = specText;
-    rewindNeeded_ = false;
     return true;
 }
 
 /**
  * Run one lease, streaming its trials. The session is built on the
  * first lease (its warmup pumps the socket, so the lease stays alive
- * through it); a lease behind its position, or any lease after a
- * stopped range, rewinds it to the post-warmup snapshot instead —
- * ranges must be visited forward within one pass.
+ * through it) and serves later leases in increasing order. A lease
+ * behind its position, which only a requeue issues, gets a fresh
+ * session; so does any lease after a stopped range.
  */
 void
 Worker::serveLease(const AssignMsg &a)
 {
+    // Reset before building, so two sessions never coexist.
+    if (session_ && a.begin < session_->position())
+        session_.reset();
     if (!session_)
         session_ = std::make_unique<fault::CampaignSession>(
             params_, prog_.get(), ccfg_);
-    else if (rewindNeeded_ || a.begin < session_->position())
-        session_->rewind();
     const fault::RangeOutcome out = session_->runRange(
         a.begin, a.end,
         [this](u64 trial, const fault::CampaignResult &delta,
@@ -205,7 +202,8 @@ Worker::serveLease(const AssignMsg &a)
             fault::packTrialMeta(meta, t.m);
             send(MsgType::Trial, t.encode());
         });
-    rewindNeeded_ = out.stopped;
+    if (out.stopped)
+        session_.reset(); // its drain moved the master off schedule
     RangeDoneMsg done;
     done.nextTrial = out.nextTrial;
     done.halted = out.halted;

@@ -17,8 +17,8 @@
  * stalled partial frame or a failed send stop only the current range,
  * and the worker re-dials with exponentially backed-off,
  * decorrelated-jitter delays. The session survives: a byte-equal Spec
- * keeps it, rewound to its post-warmup snapshot when a lease starts
- * behind it or the last range stopped early. Every trial is a pure
+ * keeps it for later leases, and a lease behind it or after a range
+ * that stopped early gets a fresh one. Every trial is a pure
  * function of (spec, trial index), so re-executing a lease after a
  * reconnect is harmless — the coordinator's merge discards duplicates.
  * Only a Shutdown frame, a local signal, or an explicit version

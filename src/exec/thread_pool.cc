@@ -122,6 +122,15 @@ ThreadPool::parallelFor(u64 n, u64 grain,
 {
     if (n == 0)
         return;
+    // The caller is this pool's worker 0 for the loop, even when it is
+    // itself a worker of an outer pool: the index must stay below
+    // size() for per-worker scratch arrays of this pool's size.
+    struct CallerIndex
+    {
+        unsigned outer = tlsWorkerIndex;
+        CallerIndex() { tlsWorkerIndex = 0; }
+        ~CallerIndex() { tlsWorkerIndex = outer; }
+    } caller;
     lastSkipped_ = 0;
     grain = std::max<u64>(1, grain);
     if (nthreads_ == 1 || n == 1) {

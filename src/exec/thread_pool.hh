@@ -57,7 +57,9 @@ class ThreadPool
      * spawned workers are 1..size()-1, so any thread inside a
      * parallelFor body may index a caller-owned array of size()
      * entries without synchronization. Threads that never entered a
-     * pool report 0 (they are somebody's caller).
+     * pool report 0 (they are somebody's caller). A worker of one pool
+     * that calls another pool's parallelFor is that loop's 0 until it
+     * returns, then its outer index again.
      */
     static unsigned currentWorker();
 

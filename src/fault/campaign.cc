@@ -62,13 +62,17 @@ deltaOf(const pipeline::Core &fork, const filters::DetectorStats &m)
 }
 
 /**
- * Everything a worker needs to execute one injection trial without
- * touching the (still advancing) master: a full machine snapshot at
- * the injection point, the drawn plan, the per-SMT-thread commit
- * targets, and the master-side state the classifier compares against.
+ * One trial's whole state, from snapshot to sink. Everything a worker
+ * needs to execute the trial without touching the (still advancing)
+ * master: a full machine snapshot at the injection point, the drawn
+ * plan, the per-SMT-thread commit targets, the master-side state the
+ * classifier compares against, and the golden entry the ledger fills
+ * as the master crosses the targets. The worker writes the result.
  */
 struct Trial
 {
+    explicit Trial(const pipeline::Core &snapshot) : master(snapshot) {}
+
     pipeline::Core master;
     InjectionPlan plan;
     std::vector<u64> targets;
@@ -103,6 +107,9 @@ struct Trial
     /** Sampling metadata (stratum, site, attribution), filled at the
      *  snapshot; the trial runner adds its flags and exit cycle. */
     TrialMeta meta{};
+    /** Watched by the ledger from open() until complete. */
+    GoldenLedger::Entry golden;
+    CampaignResult result;
 };
 
 /** Evaluate Trial::provablyMasked against the snapshot-time master
@@ -172,17 +179,17 @@ forkInto(std::optional<ForkOutcome> &slot, pipeline::Core &&base,
  * One trial: no golden execution at all. The bare (and, for SDC
  * faults, protected) fork is compared against the master's golden
  * checkpoint with O(threads + segments) arch/digest compares. A pure
- * function of the descriptor and its ledger entry (safe on any worker
- * thread; the returned single-trial counters merge into
+ * function of the trial and its complete golden entry (safe on any
+ * worker thread; the returned single-trial counters merge into
  * CampaignResult with order-insensitive adds), except that the last
- * fork consumes t.master by move — the caller's trial slot is dead
+ * fork consumes t.master by move — the trial slot's snapshot is dead
  * after this and gets overwritten at its next refill.
  */
 CampaignResult
 runTrial(const pipeline::CoreParams &params, const CampaignConfig &cfg,
-         Trial &t, const GoldenLedger::Entry &g, ForkScratch &fs,
-         const ForkDeadline *deadline)
+         Trial &t, ForkScratch &fs, const ForkDeadline *deadline)
 {
+    const GoldenLedger::Entry &g = t.golden;
     CampaignResult r;
     ++r.injected;
     // Scheduler observability: each fork starts from the snapshot's
@@ -369,12 +376,6 @@ runTrialGuarded(const CampaignConfig &cfg, const Trial &t,
  */
 struct CampaignSession::Impl
 {
-    struct Pending
-    {
-        u32 trialIdx; ///< index into trialPool
-        u32 slot;     ///< ledger checkpoint slot
-    };
-
     Impl(const pipeline::CoreParams &params_in, const isa::Program *prog,
          const CampaignConfig &cfg_in)
         : params(params_in),
@@ -384,7 +385,8 @@ struct CampaignSession::Impl
           gapRng(cfg_in.seed),
           threads(exec::resolveThreads(cfg_in.threads)),
           pool(threads),
-          batchCap(std::max<u64>(u64{threads} * 4, 8))
+          batchCap(std::max<u64>(u64{threads} * 4, 8)),
+          ledger(master)
     {
         if (!GoldenLedger::supports(master, *prog))
             fh_fatal("program '%s' lacks the memory layout the golden "
@@ -406,14 +408,7 @@ struct CampaignSession::Impl
                      "increase its iteration count",
                      prog->name.c_str());
 
-        // Retained post-warmup snapshot: rewind() restores the master
-        // from it by buffer-reusing assignment instead of re-running
-        // warmup (see CampaignSession::rewind).
-        warmSnapshot = std::make_unique<pipeline::Core>(master);
-
-        ledger = std::make_unique<GoldenLedger>(master);
-        master.setCommitObserver(ledger.get());
-        partial.resize(batchCap);
+        master.setCommitObserver(&ledger);
         wave.reserve(batchCap + 8);
         scratch.resize(threads);
     }
@@ -483,7 +478,6 @@ struct CampaignSession::Impl
     }
 
     RangeOutcome runRange(u64 begin, u64 end, const TrialSink &sink);
-    void rewind();
 
     pipeline::CoreParams params;
     CampaignConfig cfg;
@@ -493,55 +487,27 @@ struct CampaignSession::Impl
     unsigned threads;
     exec::ThreadPool pool;
     u64 batchCap; ///< trials per wave
-    std::unique_ptr<GoldenLedger> ledger;
+    GoldenLedger ledger;
 
     u64 trial = 0;    ///< next producible trial index
     u64 executed = 0; ///< trials actually executed by this session
     bool halted = false;
 
-    std::vector<CampaignResult> partial; ///< per-wave trial results
     // Per-worker reusable fork machines, indexed by
     // ThreadPool::currentWorker() (caller = 0, workers 1..threads-1).
     std::vector<ForkScratch> scratch;
     // Reusable trial slots: a retired slot's snapshot is overwritten in
     // place (a flat arena memcpy plus COW memory/filter copies), so
-    // there is no per-trial reallocation churn. A deque so the
-    // references workers hold across a parallelFor stay stable while
-    // the producer appends new slots.
+    // there is no per-trial reallocation churn. A deque so the slots —
+    // and the golden entries the ledger's watches point at — stay put
+    // while the producer appends new ones.
     std::deque<Trial> trialPool;
-    std::vector<u32> freeTrials;
+    std::vector<Trial *> freeTrials;
     // Produced trials whose windows the master has not fully crossed
     // yet; bounded by window/minGap in practice.
-    std::deque<Pending> inflight;
-    std::vector<Pending> wave;
-    std::unique_ptr<pipeline::Core> warmSnapshot;
+    std::deque<Trial *> inflight;
+    std::vector<Trial *> wave; ///< complete trials awaiting the pool
 };
-
-/**
- * Reset the session to its post-warmup state: position() back to 0,
- * master restored from the retained warm snapshot by buffer-reusing
- * assignment, the gap schedule restarted from cfg.seed, and the
- * ledger rebuilt empty. Every downstream quantity is a pure function
- * of (config, trial index), so re-executed trials are bit-identical
- * to the first pass.
- */
-void
-CampaignSession::Impl::rewind()
-{
-    master.setCommitObserver(nullptr);
-    master = *warmSnapshot;
-    gapRng = Rng(cfg.seed);
-    trial = 0;
-    executed = 0;
-    halted = false;
-    inflight.clear();
-    wave.clear();
-    freeTrials.clear();
-    for (u32 i = 0; i < trialPool.size(); ++i)
-        freeTrials.push_back(i);
-    ledger = std::make_unique<GoldenLedger>(master);
-    master.setCommitObserver(ledger.get());
-}
 
 /**
  * Produce and execute one range of trials. The master advances on the
@@ -569,37 +535,32 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
     auto promote = [&] {
         // Entries complete in production order: per-thread targets are
         // nondecreasing, so the FIFO's front always finishes first.
-        while (!inflight.empty() &&
-               ledger->complete(inflight.front().slot)) {
-            wave.push_back(std::move(inflight.front()));
+        while (!inflight.empty() && inflight.front()->golden.remaining == 0) {
+            wave.push_back(inflight.front());
             inflight.pop_front();
         }
     };
     auto flushWave = [&] {
         if (wave.empty())
             return;
-        partial.resize(std::max(partial.size(), wave.size()));
         pool.parallelFor(wave.size(), [&](u64 k) {
             ForkScratch &fs =
                 scratch[exec::ThreadPool::currentWorker()];
-            Trial &t = trialPool[wave[k].trialIdx];
-            partial[k] = runTrialGuarded(
+            Trial &t = *wave[k];
+            t.result = runTrialGuarded(
                 cfg, t, [&](const ForkDeadline *dl) {
-                    return runTrial(params, cfg, t,
-                                    ledger->entry(wave[k].slot), fs, dl);
+                    return runTrial(params, cfg, t, fs, dl);
                 });
             // The session's own thread polls between its items.
             if (cfg.abortCheck && exec::ThreadPool::currentWorker() == 0)
                 cfg.abortCheck();
         });
         // Merge — and sink — in trial (production) order:
-        // bit-identical for any worker count. Ledger slots and trial
-        // slots both free up for the next opens.
-        for (size_t k = 0; k < wave.size(); ++k) {
-            const Trial &done = trialPool[wave[k].trialIdx];
-            sink(done.index, partial[k], done.meta);
-            ledger->release(wave[k].slot);
-            freeTrials.push_back(wave[k].trialIdx);
+        // bit-identical for any worker count. The slots free up for
+        // the next snapshots.
+        for (Trial *done : wave) {
+            sink(done->index, done->result, done->meta);
+            freeTrials.push_back(done);
         }
         wave.clear();
     };
@@ -637,32 +598,26 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
         pipeline::PregPhase phase = pipeline::PregPhase::Free;
         if (plan.target == Target::RegFile)
             phase = master.pregPhase(plan.preg);
-        const bool provable = provablyMasked(master, plan, phase);
 
-        u32 tidx;
-        if (!freeTrials.empty()) {
-            // Reuse a retired trial slot: the snapshot lands in its
-            // existing arena (a flat memcpy), targets reuse capacity.
-            tidx = freeTrials.back();
-            freeTrials.pop_back();
-            Trial &tslot = trialPool[tidx];
-            tslot.master = master;
-            tslot.plan = plan;
-            windowTargetsInto(tslot.targets, master, cfg.window);
-            tslot.phase = phase;
-            tslot.masterStats = master.detector().stats();
-            tslot.index = trial;
-            tslot.provablyMasked = provable;
-            tslot.meta = meta;
+        // A retired slot takes the snapshot in its existing arena (a
+        // flat memcpy); its vectors reuse their capacity.
+        Trial *t;
+        if (freeTrials.empty()) {
+            t = &trialPool.emplace_back(master);
         } else {
-            tidx = static_cast<u32>(trialPool.size());
-            trialPool.push_back(Trial{master, plan,
-                                      windowTargets(master, cfg.window),
-                                      phase, master.detector().stats(),
-                                      trial, provable, meta});
+            t = freeTrials.back();
+            freeTrials.pop_back();
+            t->master = master;
         }
-        const u32 slot = ledger->open(trialPool[tidx].targets);
-        inflight.push_back({tidx, slot});
+        t->plan = plan;
+        windowTargetsInto(t->targets, master, cfg.window);
+        t->phase = phase;
+        t->masterStats = master.detector().stats();
+        t->index = trial;
+        t->provablyMasked = provablyMasked(master, plan, phase);
+        t->meta = meta;
+        ledger.open(t->golden, t->targets);
+        inflight.push_back(t);
         produced.snapshotNs += nsSince(t0);
         ++trial;
         ++executed;
@@ -689,22 +644,23 @@ CampaignSession::Impl::runRange(u64 begin, u64 end, const TrialSink &sink)
         if (!terminal) {
             drainCopy = std::make_unique<pipeline::Core>(master);
             master.setCommitObserver(nullptr);
-            ledger->retarget(*drainCopy);
-            drainCopy->setCommitObserver(ledger.get());
+            ledger.retarget(*drainCopy);
+            drainCopy->setCommitObserver(&ledger);
             drainee = drainCopy.get();
         }
+        const GoldenLedger::Entry &youngest = inflight.back()->golden;
         Cycle drained = 0;
-        while (!ledger->complete(inflight.back().slot) &&
-               !drainee->allHalted() && drained < cfg.forkMaxCycles) {
+        while (youngest.remaining != 0 && !drainee->allHalted() &&
+               drained < cfg.forkMaxCycles) {
             drainee->tick();
             pollEvery(++drained);
         }
-        if (!ledger->complete(inflight.back().slot))
-            ledger->forceFinalizeAll(); // hung master; see GoldenLedger
+        if (youngest.remaining != 0)
+            ledger.forceFinalizeAll(); // hung master; see GoldenLedger
         if (!terminal) {
             drainCopy->setCommitObserver(nullptr);
-            ledger->retarget(master);
-            master.setCommitObserver(ledger.get());
+            ledger.retarget(master);
+            master.setCommitObserver(&ledger);
         }
     }
     produced.goldenNs += nsSince(t0);
@@ -734,12 +690,6 @@ u64
 CampaignSession::position() const
 {
     return impl_->trial;
-}
-
-void
-CampaignSession::rewind()
-{
-    impl_->rewind();
 }
 
 const StratumSpace &
@@ -863,8 +813,7 @@ runCampaign(const pipeline::CoreParams &params, const isa::Program *prog,
     std::unique_ptr<TrialJournal> journal;
     if (!cfg.journalPath.empty())
         journal = std::make_unique<TrialJournal>(
-            cfg.journalPath, cfg,
-            filters::to_string(params.detector.scheme));
+            cfg.journalPath, cfg, journalIdentity(params, *prog));
     TrialMerge merge(cfg, journal.get(), cfg.progress);
     merge.drive(session);
     return merge.result();

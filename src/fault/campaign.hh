@@ -402,7 +402,9 @@ struct RangeOutcome
     /** The master halted; no trial >= nextTrial exists in this
      *  campaign (deterministic: every process sees the same halt). */
     bool halted = false;
-    /** A shutdown request drained the range early at nextTrial. */
+    /** A shutdown request drained the range early at nextTrial. That
+     *  drain ticked the real master off the gap schedule, so later
+     *  ranges need a fresh session. */
     bool stopped = false;
     /** Producer-side wall time (master advance + snapshots) spent in
      *  this call; worker-side phase time rides in the trial deltas. */
@@ -450,19 +452,6 @@ class CampaignSession
 
     /** Next producible trial index (monotonic across runRange calls). */
     u64 position() const;
-
-    /**
-     * Reset the session to its post-warmup state (position() == 0), so
-     * a re-issued earlier range can be served without rebuilding the
-     * session — and in particular without re-running warmup, which
-     * dominates session construction. The master machine is restored
-     * from a retained warm snapshot by buffer-reusing assignment, the
-     * gap schedule restarts from cfg.seed, and the golden ledger is
-     * rebuilt empty; everything downstream is a pure function of
-     * (config, trial index), so trials re-executed after a rewind are
-     * bit-identical to their first execution.
-     */
-    void rewind();
 
     /** The stratification of this campaign's injection mix (labels in
      *  fixed mode, draw constraints + CI weights in adaptive mode). */

@@ -26,12 +26,12 @@ GoldenLedger::supports(const pipeline::Core &master,
 }
 
 void
-GoldenLedger::finalizeThread(u32 slot, unsigned tid)
+GoldenLedger::finalizeThread(const Watch &w, unsigned tid)
 {
-    Entry &e = entries_[slot];
+    Entry &e = *w.entry;
     e.archDigests[tid] = master_->archDigest(tid);
     e.digests[tid] = master_->memory().segmentDigest(tid);
-    if (master_->committed(tid) < e.targets[tid])
+    if (master_->committed(tid) < w.target)
         e.crossed = false; // halted / force-finalized short of target
     if (master_->trapOf(tid) != isa::Trap::None)
         e.trapped = true;
@@ -39,21 +39,10 @@ GoldenLedger::finalizeThread(u32 slot, unsigned tid)
     --e.remaining;
 }
 
-u32
-GoldenLedger::open(const std::vector<u64> &targets)
+void
+GoldenLedger::open(Entry &e, const std::vector<u64> &targets)
 {
-    u32 slot;
-    if (!freeSlots_.empty()) {
-        slot = freeSlots_.back();
-        freeSlots_.pop_back();
-    } else {
-        slot = static_cast<u32>(entries_.size());
-        entries_.emplace_back();
-    }
-
     const unsigned n = master_->numThreads();
-    Entry &e = entries_[slot];
-    e.targets = targets;
     e.archDigests.assign(n, 0);
     // Segments of absent threads (s >= n) are never written by the
     // fault-free master, so their digest now is their golden value.
@@ -66,24 +55,18 @@ GoldenLedger::open(const std::vector<u64> &targets)
     e.remaining = n;
 
     for (unsigned tid = 0; tid < n; ++tid) {
-        if (master_->halted(tid) || master_->committed(tid) >= targets[tid]) {
+        const Watch w{&e, targets[tid]};
+        if (master_->halted(tid) || master_->committed(tid) >= w.target) {
             // A golden fork would freeze (or already be halted) here
             // without committing anything more on this thread.
-            finalizeThread(slot, tid);
+            finalizeThread(w, tid);
             continue;
         }
         fh_assert(watches_[tid].empty() ||
-                      watches_[tid].back().target <= targets[tid],
+                      watches_[tid].back().target <= w.target,
                   "ledger targets must be nondecreasing per thread");
-        watches_[tid].push_back({slot, targets[tid]});
+        watches_[tid].push_back(w);
     }
-    return slot;
-}
-
-void
-GoldenLedger::release(u32 slot)
-{
-    freeSlots_.push_back(slot);
 }
 
 void
@@ -92,7 +75,7 @@ GoldenLedger::forceFinalizeAll()
     for (unsigned tid = 0; tid < watches_.size(); ++tid) {
         auto &dq = watches_[tid];
         while (!dq.empty()) {
-            finalizeThread(dq.front().slot, tid);
+            finalizeThread(dq.front(), tid);
             dq.pop_front();
         }
     }
@@ -125,7 +108,7 @@ GoldenLedger::onCommit(const pipeline::Core &core, unsigned tid)
     auto &dq = watches_[tid];
     const u64 committed = core.committed(tid);
     while (!dq.empty() && dq.front().target <= committed) {
-        finalizeThread(dq.front().slot, tid);
+        finalizeThread(dq.front(), tid);
         dq.pop_front();
     }
 }
@@ -140,7 +123,7 @@ GoldenLedger::onThreadHalted(const pipeline::Core &core, unsigned tid)
     // frozen short of its target would have sampled.
     auto &dq = watches_[tid];
     while (!dq.empty()) {
-        finalizeThread(dq.front().slot, tid);
+        finalizeThread(dq.front(), tid);
         dq.pop_front();
     }
 }

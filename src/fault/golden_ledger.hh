@@ -24,15 +24,17 @@
  * segment — so its digest on the master is constant and equals what
  * a frozen golden fork would show. open() samples it once.
  *
- * The ledger rides the master's retirement stream (CommitObserver):
- * opening an entry registers one watch per thread at the trial's
- * commit target; when the master crosses a watch the ledger samples
- * that thread's ArchState, its segment's incremental content digest
- * (mem::Memory::segmentDigest) and its trap status into the entry.
- * Once every thread has crossed (or halted — a golden fork would
- * freeze halted at the same count), the entry is complete and a
- * worker can classify bare/protected forks against it with O(threads
- * + segments) compares — no golden execution, no memory sweeps.
+ * The ledger rides the master's retirement stream (CommitObserver) and
+ * owns no entries: each campaign trial slot holds its own Entry, and
+ * open() registers one watch per thread at the trial's commit target,
+ * pointing at that entry. When the master crosses a watch the ledger
+ * samples that thread's ArchState, its segment's incremental content
+ * digest (mem::Memory::segmentDigest) and its trap status into the
+ * entry. Once every thread has crossed (or halted — a golden fork
+ * would freeze halted at the same count), remaining is 0, the entry is
+ * complete and a worker can classify bare/protected forks against it
+ * with O(threads + segments) compares — no golden execution, no
+ * memory sweeps. An entry must not move until it is complete.
  *
  * Not thread-safe by design: all mutation happens on the producer
  * thread between worker waves, and workers only read entries of
@@ -65,7 +67,6 @@ class GoldenLedger final : public pipeline::CommitObserver
      */
     struct Entry
     {
-        std::vector<u64> targets; ///< per SMT thread
         /** Per thread, at crossing: isa::archStateDigest of the
          *  thread's ArchState, sampled from the master's O(1)
          *  incremental digest (Core::archDigest — trustworthy there
@@ -114,24 +115,14 @@ class GoldenLedger final : public pipeline::CommitObserver
                          const isa::Program &prog);
 
     /**
-     * Open an entry for a trial snapshotted at the master's current
-     * state, with the given per-thread commit targets (nondecreasing
+     * Reset e for a trial snapshotted at the master's current state
+     * and watch the given per-thread commit targets (nondecreasing
      * across successive opens, since targets are committed + window).
-     * Returns the entry's slot. Threads already halted finalize
-     * immediately; absent threads' segment digests are sampled now.
+     * Threads already halted finalize immediately; absent threads'
+     * segment digests are sampled now. e fills in place as the master
+     * crosses the targets.
      */
-    u32 open(const std::vector<u64> &targets);
-
-    /** True once every thread crossed its target (entry readable). */
-    bool complete(u32 slot) const
-    {
-        return entries_[slot].remaining == 0;
-    }
-
-    const Entry &entry(u32 slot) const { return entries_[slot]; }
-
-    /** Return a classified trial's slot to the free list. */
-    void release(u32 slot);
+    void open(Entry &e, const std::vector<u64> &targets);
 
     /**
      * Safety valve for a master that stops committing before the last
@@ -159,16 +150,14 @@ class GoldenLedger final : public pipeline::CommitObserver
   private:
     struct Watch
     {
-        u32 slot;
+        Entry *entry;
         u64 target;
     };
 
-    /** Sample thread tid's state from the master into an entry. */
-    void finalizeThread(u32 slot, unsigned tid);
+    /** Sample thread tid's state from the master into w.entry. */
+    void finalizeThread(const Watch &w, unsigned tid);
 
     pipeline::Core *master_;
-    std::vector<Entry> entries_;
-    std::vector<u32> freeSlots_;
     /** Per-thread pending watches, FIFO by target (targets are
      *  nondecreasing across opens, so crossing pops from the front). */
     std::vector<std::deque<Watch>> watches_;

@@ -94,21 +94,22 @@ namespace
  * The header pins everything the trial outcomes are a function of:
  * the seed (gap schedule + per-trial streams), the trial count and
  * window, the schedule bounds, the fork cycle budget, the injection
- * mix, and the detector scheme. Matching is exact string equality of
- * this line, so any config drift — including a float formatting
- * change — refuses to resume rather than resuming wrong.
+ * mix, the stop rule, and the identity (scheme, program, core shape).
+ * Matching is exact string equality of this line, so any config drift
+ * — including a float formatting change — refuses to resume rather
+ * than resuming wrong.
  */
 std::string
-headerLine(const CampaignConfig &cfg, const std::string &scheme)
+headerLine(const CampaignConfig &cfg, const std::string &identity)
 {
     return csprintf(
-        "{\"fh_trial_journal\": 3, \"scheme\": \"%s\", \"seed\": %llu, "
+        "{\"fh_trial_journal\": 4, \"identity\": \"%s\", \"seed\": %llu, "
         "\"injections\": %llu, \"window\": %llu, \"warmup\": %llu, "
         "\"min_gap\": %llu, \"max_gap\": %llu, "
         "\"fork_max_cycles\": %llu, \"rename_frac\": %.17g, "
         "\"lsq_frac\": %.17g, \"inflight_frac\": %.17g, "
         "\"early_stop\": %d, \"ci_target\": %.17g, \"ci_wave\": %llu}",
-        scheme.c_str(), static_cast<unsigned long long>(cfg.seed),
+        identity.c_str(), static_cast<unsigned long long>(cfg.seed),
         static_cast<unsigned long long>(cfg.injections),
         static_cast<unsigned long long>(cfg.window),
         static_cast<unsigned long long>(cfg.warmupInsts),
@@ -124,7 +125,7 @@ headerLine(const CampaignConfig &cfg, const std::string &scheme)
  * CRC32C over the record's *values* (trial index, counters, metadata —
  * 27 u64s packed little-endian), not its JSON text: two textual
  * spellings of the same numbers are the same record, and it is the
- * values the resumed campaign depends on. Journal v3 stores this as
+ * values the resumed campaign depends on. The journal stores this as
  * the record's "c" field, catching mid-file bit rot that still parses
  * as valid JSON — the case the torn-tail heuristic can never see.
  */
@@ -218,12 +219,48 @@ writeRecord(std::FILE *out, u64 trial, const u64 (&d)[kTrialCounters],
 
 } // namespace
 
+std::string
+journalIdentity(const pipeline::CoreParams &params, const isa::Program &prog)
+{
+    u32 crc = 0;
+    auto put = [&](u64 v) {
+        u8 b[8];
+        for (int i = 0; i < 8; ++i)
+            b[i] = static_cast<u8>(v >> (8 * i));
+        crc = crc32c(b, sizeof(b), crc);
+    };
+    for (const isa::Instruction &in : prog.text) {
+        put(static_cast<u64>(in.op) | u64{in.rd} << 16 |
+            u64{in.rs1} << 24 | u64{in.rs2} << 32);
+        put(static_cast<u64>(in.imm));
+        put(in.target);
+    }
+    for (const mem::Segment &seg : prog.segments) {
+        put(seg.base);
+        put(seg.size);
+    }
+    for (const auto &[addr, value] : prog.data) {
+        put(addr);
+        put(value);
+    }
+    put(prog.textBase);
+    for (u64 base : prog.threadBases)
+        put(base);
+    return csprintf("scheme=%s bench=%s image_crc=%08lx core_threads=%u "
+                    "tcam_entries=%u tcam_threshold=%u delay_buffer=%u",
+                    filters::to_string(params.detector.scheme).c_str(),
+                    prog.name.c_str(), static_cast<unsigned long>(crc),
+                    params.threads, params.detector.tcam.entries,
+                    params.detector.tcam.loosenThreshold,
+                    params.delayBufferSize);
+}
+
 TrialJournal::TrialJournal(const std::string &path,
                            const CampaignConfig &cfg,
-                           const std::string &scheme)
+                           const std::string &identity)
     : path_(path)
 {
-    const std::string header = headerLine(cfg, scheme);
+    const std::string header = headerLine(cfg, identity);
 
     std::ifstream in(path_);
     if (in) {

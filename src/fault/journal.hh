@@ -27,11 +27,12 @@
  * uninterrupted run's exactly (wall-time phase accounting excepted —
  * it was never deterministic).
  *
- * The header line pins the campaign identity (seed, injections,
- * window, schedule, mix, scheme); resuming against a journal written
- * by a different configuration is a user error (fh_fatal), not a
- * silent wrong answer. Every record carries a CRC32C over its values
- * (journal v3), splitting damage into two cases with opposite
+ * The header line pins the campaign: its schedule (seed, injections,
+ * window, gaps, mix, early stop, CI target) and its identity — scheme,
+ * program image and core shape (journalIdentity). Resuming against a
+ * journal written by a different configuration is a user error
+ * (fh_fatal), not a silent wrong answer. Every record carries a
+ * CRC32C over its values, splitting damage into two cases with opposite
  * handling: a bad record with nothing valid after it is a torn tail
  * from a crash mid-write — healed by dropping it (the trial
  * re-executes); a bad record with valid records after it is mid-file
@@ -82,17 +83,29 @@ void packTrialMeta(const TrialMeta &m, u64 (&v)[kTrialMetaFields]);
 /** Inverse of packTrialMeta (narrow fields truncate to their width). */
 TrialMeta unpackTrialMeta(const u64 (&v)[kTrialMetaFields]);
 
+/**
+ * What the trial outcomes are a function of beyond CampaignConfig, as
+ * one header string: the detector scheme, the program (its name and a
+ * CRC32C of its image, which pins bench, workload seed, iterations and
+ * footprint) and the core shape (SMT threads, TCAM entries and
+ * threshold, delay buffer). runCampaign and the dist coordinator both
+ * journal under it, so their files are byte-identical.
+ */
+std::string journalIdentity(const pipeline::CoreParams &params,
+                            const isa::Program &prog);
+
 class TrialJournal
 {
   public:
     /**
      * Open (or create) the journal at path for the campaign described
-     * by cfg/scheme. An existing journal must carry a matching header
-     * (else fh_fatal); its well-formed prefix of trial records is
-     * loaded for replay and subsequent records append after it.
+     * by cfg and identity (journalIdentity, or any label the caller
+     * pins). An existing journal must carry a matching header (else
+     * fh_fatal); its well-formed prefix of trial records is loaded for
+     * replay and subsequent records append after it.
      */
     TrialJournal(const std::string &path, const CampaignConfig &cfg,
-                 const std::string &scheme);
+                 const std::string &identity);
     ~TrialJournal();
 
     TrialJournal(const TrialJournal &) = delete;

@@ -68,7 +68,9 @@ class PanicScope
     static bool active();
 };
 
-/** FH_STRICT environment knob: panics always abort, guard or not. */
+/** FH_STRICT environment knob: panics always abort, guard or not.
+ *  A boolean read through envBool (unset = off; a malformed value is
+ *  fatal). */
 bool strictMode();
 
 } // namespace fh

@@ -116,10 +116,12 @@ fileBytes(const std::string &path)
     return ss.str();
 }
 
+/** The journal identity runCampaign writes for spec. */
 std::string
-schemeName(const dist::CampaignSpec &spec)
+identityOf(const dist::CampaignSpec &spec)
 {
-    return filters::to_string(spec.buildParams().detector.scheme);
+    return fault::journalIdentity(spec.buildParams(),
+                                  spec.buildProgram());
 }
 
 /** A worker tuned for a hostile wire: fast heartbeats, fast stall
@@ -209,7 +211,7 @@ TEST(Chaos, AnyScheduleYieldsBitIdenticalResults)
         fault::CampaignResult r;
         {
             fault::TrialJournal j(journal, spec.campaign,
-                                  schemeName(spec));
+                                  identityOf(spec));
             r = coord.run(&j);
         }
         for (pid_t pid : pids)
@@ -272,7 +274,7 @@ TEST(Chaos, CoordinatorSigkillRestartResumesBitIdentically)
         for (unsigned i = 0; i < 2; ++i)
             pids.push_back(spawnRealWorker(coord.endpoint()));
         fault::TrialJournal j(journal, spec.campaign,
-                              schemeName(spec));
+                              identityOf(spec));
         coord.run(&j);
         for (pid_t pid : pids)
             dist::reap(pid);
@@ -299,7 +301,7 @@ TEST(Chaos, CoordinatorSigkillRestartResumesBitIdentically)
     // The merged prefix replays; the rest executes; bytes converge.
     {
         fault::TrialJournal j(journal, spec.campaign,
-                              schemeName(spec));
+                              identityOf(spec));
         dist::CoordinatorOptions opts;
         opts.workers = 2;
         dist::Coordinator coord(spec, opts);
@@ -347,7 +349,7 @@ TEST(Chaos, DeadFleetDegradesToInProcessIdentically)
         {
             dist::Coordinator coord(spec, opts);
             fault::TrialJournal j(journal, spec.campaign,
-                                  schemeName(spec));
+                                  identityOf(spec));
             const fault::CampaignResult r = coord.run(&j);
             expectIdentical(ref, r);
             EXPECT_EQ(r.ciStopped, ref.ciStopped);
@@ -362,7 +364,7 @@ TEST(Chaos, DeadFleetDegradesToInProcessIdentically)
             // rule, so the coordinator stops without leasing anything.
             dist::Coordinator coord(spec, opts);
             fault::TrialJournal j(journal, spec.campaign,
-                                  schemeName(spec));
+                                  identityOf(spec));
             const fault::CampaignResult r = coord.run(&j);
             expectIdentical(ref, r);
             EXPECT_TRUE(r.ciStopped);
@@ -448,7 +450,7 @@ TEST(Chaos, JournalBitFlipHealsOrRefusesNeverLies)
     // Capture the clean replay (packed, comparable across processes).
     std::vector<std::vector<u64>> want;
     {
-        fault::TrialJournal j(clean, spec.campaign, schemeName(spec));
+        fault::TrialJournal j(clean, spec.campaign, identityOf(spec));
         for (u64 t = 0; t < j.replayCount(); ++t) {
             std::vector<u64> rec(fault::kTrialCounters +
                                  fault::kTrialMetaFields);
@@ -485,7 +487,7 @@ TEST(Chaos, JournalBitFlipHealsOrRefusesNeverLies)
             sink = std::freopen("/dev/null", "w", stdout);
             (void)sink;
             fault::TrialJournal j(flipped, spec.campaign,
-                                  schemeName(spec));
+                                  identityOf(spec));
             if (j.replayCount() > want.size())
                 return 2;
             for (u64 t = 0; t < j.replayCount(); ++t) {
@@ -624,7 +626,7 @@ TEST(Chaos, DispatchFatalLeavesNoOrphanWorkers)
     {
         fault::CampaignConfig other = spec.campaign;
         other.seed = 987654321;
-        fault::TrialJournal j(journal, other, schemeName(spec));
+        fault::TrialJournal j(journal, other, identityOf(spec));
     }
     const std::string sock =
         tempPath("orphan_marker_" + std::to_string(::getpid()) +

@@ -4,11 +4,13 @@
  */
 
 #include <cstdlib>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "fault/campaign.hh"
 #include "sim/config.hh"
+#include "sim/error.hh"
 
 using namespace fh;
 
@@ -118,6 +120,28 @@ TEST(ConfigDeathTest, MalformedBooleanIsFatal)
     EXPECT_DEATH(fault::CampaignConfig::envEarlyStop(),
                  "FH_EARLY_STOP='later' is not a boolean");
     ::unsetenv("FH_EARLY_STOP");
+
+    // FH_STRICT is read per call through the same parser.
+    const char *strict = std::getenv("FH_STRICT");
+    const std::string saved = strict ? strict : "";
+    ::unsetenv("FH_STRICT");
+    EXPECT_FALSE(strictMode());
+    for (const char *off : {"0", "off", "false", "No"}) {
+        ::setenv("FH_STRICT", off, 1);
+        EXPECT_FALSE(strictMode()) << off;
+    }
+    for (const char *on : {"1", "on", "TRUE", "yes"}) {
+        ::setenv("FH_STRICT", on, 1);
+        EXPECT_TRUE(strictMode()) << on;
+    }
+    ::setenv("FH_STRICT", "", 1);
+    EXPECT_DEATH(strictMode(), "FH_STRICT='' is not a boolean");
+    ::setenv("FH_STRICT", "strict", 1);
+    EXPECT_DEATH(strictMode(), "FH_STRICT='strict' is not a boolean");
+    if (strict)
+        ::setenv("FH_STRICT", saved.c_str(), 1);
+    else
+        ::unsetenv("FH_STRICT");
 }
 
 /** Numbers are read whole: a suffix, a sign or an overflow is

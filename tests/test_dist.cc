@@ -261,7 +261,8 @@ runDistributed(const dist::CampaignSpec &spec, unsigned workers,
     if (!journal.empty())
         j = std::make_unique<fault::TrialJournal>(
             journal, spec.campaign,
-            filters::to_string(spec.buildParams().detector.scheme));
+            fault::journalIdentity(spec.buildParams(),
+                                   spec.buildProgram()));
     DistRun run;
     run.result = coord.run(j.get());
     run.stats = coord.stats();

@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "exec/progress.hh"
@@ -156,6 +158,40 @@ TEST(ThreadPool, SerialExceptionReportsSkipped)
                  std::runtime_error);
     EXPECT_EQ(ran, 4u);
     EXPECT_EQ(pool.lastSkipped(), 6u);
+}
+
+/** A pool run from inside another pool's worker numbers its caller 0
+ *  for the loop, so per-worker scratch sized to the inner pool stays
+ *  in range; the outer index comes back afterwards. */
+TEST(ThreadPool, NestedPoolIndexesItsOwnWorkers)
+{
+    constexpr unsigned kOuter = 4;
+    exec::ThreadPool outer(kOuter);
+    // Every body waits for all the others, so each outer thread runs
+    // exactly one of them and all outer indices 0..3 call the inner
+    // pool.
+    std::atomic<unsigned> arrived{0};
+    std::atomic<unsigned> outOfRange{0};
+    std::atomic<unsigned> notRestored{0};
+    std::vector<unsigned> outerIndex(kOuter, kOuter);
+    outer.parallelFor(kOuter, [&](u64 i) {
+        arrived.fetch_add(1);
+        while (arrived.load() < kOuter)
+            std::this_thread::yield();
+        const unsigned mine = exec::ThreadPool::currentWorker();
+        outerIndex[i] = mine;
+        exec::ThreadPool inner(2);
+        inner.parallelFor(8, [&](u64) {
+            if (exec::ThreadPool::currentWorker() >= inner.size())
+                outOfRange.fetch_add(1);
+        });
+        if (exec::ThreadPool::currentWorker() != mine)
+            notRestored.fetch_add(1);
+    });
+    EXPECT_EQ(outOfRange.load(), 0u);
+    EXPECT_EQ(notRestored.load(), 0u);
+    std::sort(outerIndex.begin(), outerIndex.end());
+    EXPECT_EQ(outerIndex, (std::vector<unsigned>{0, 1, 2, 3}));
 }
 
 TEST(ThreadPool, OneShotHelper)

@@ -283,10 +283,23 @@ TEST(JournalDeathTest, ConfigMismatchRefusesToResume)
     cfg.injections = 4;
     cfg.journalPath = journalPath("mismatch.fhj");
     fault::runCampaign(params, &program, cfg);
-    // Same journal, different seed: resuming would silently mix two
-    // campaigns, so the journal must refuse.
-    cfg.seed = cfg.seed + 1;
-    EXPECT_DEATH(fault::runCampaign(params, &program, cfg),
+    // Same journal, different campaign: resuming would silently mix
+    // two campaigns, so the journal must refuse. The header pins the
+    // schedule (seed), the program (bench) and the core shape (SMT
+    // width).
+    fault::CampaignConfig reseeded = cfg;
+    reseeded.seed = cfg.seed + 1;
+    EXPECT_DEATH(fault::runCampaign(params, &program, reseeded),
+                 "different campaign configuration");
+    workload::WorkloadSpec spec;
+    spec.maxThreads = 2;
+    spec.footprintDivider = 64;
+    const isa::Program other = workload::build("429.mcf", spec);
+    EXPECT_DEATH(fault::runCampaign(params, &other, cfg),
+                 "different campaign configuration");
+    auto smt1 = params;
+    smt1.threads = 1;
+    EXPECT_DEATH(fault::runCampaign(smt1, &program, cfg),
                  "different campaign configuration");
     std::remove(cfg.journalPath.c_str());
 }
